@@ -4,11 +4,12 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/eurosys23/ice/internal/device"
 	"github.com/eurosys23/ice/internal/experiments"
 	"github.com/eurosys23/ice/internal/harness"
-	"github.com/eurosys23/ice/internal/obs"
+	"github.com/eurosys23/ice/internal/metrics"
 	"github.com/eurosys23/ice/internal/policy"
 	"github.com/eurosys23/ice/internal/sim"
 	"github.com/eurosys23/ice/internal/workload"
@@ -25,14 +26,14 @@ import (
 // benchExperiment drives one experiment runner b.N times serially
 // (Workers 1, so ns/op measures the simulation, not the host's core
 // count) and reports harness cell throughput plus per-cell allocation
-// pressure via b.ReportMetric. allocs/cell is the heap-allocation count
-// (runtime.MemStats.Mallocs delta) divided by completed cells, and
-// p50_cell_us/p99_cell_us are per-cell wall-clock latency percentiles
-// (log2-bucket upper edges) — the metrics ci.sh snapshots into
+// pressure via b.ReportMetric. allocs/cell and bytes/cell are the
+// heap-allocation count and volume (runtime.MemStats Mallocs and
+// TotalAlloc deltas) divided by completed cells, and
+// p50_cell_us/p99_cell_us are exact nearest-rank percentiles of the
+// recorded per-cell wall-clock times — the metrics ci.sh snapshots into
 // BENCH_<n>.json per PR.
 func benchExperiment(b *testing.B, run func(experiments.Options) error) {
-	var cells atomic.Int64
-	cellUs := &obs.Histogram{} // Progress calls are serialised by the harness
+	var cellUs []float64 // Progress calls are serialised by the harness
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -40,8 +41,7 @@ func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 		o := experiments.Options{
 			Fast: true, Rounds: 1, Seed: int64(i + 1), Workers: 1,
 			Progress: func(p harness.Progress) {
-				cells.Add(1)
-				cellUs.Observe(p.CellTime.Microseconds())
+				cellUs = append(cellUs, float64(p.CellTime)/float64(time.Microsecond))
 			},
 		}
 		if err := run(o); err != nil {
@@ -51,15 +51,15 @@ func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 	b.StopTimer()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
+	n := float64(len(cellUs))
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(cells.Load())/secs, "cells/sec")
+		b.ReportMetric(n/secs, "cells/sec")
 	}
-	if n := cells.Load(); n > 0 {
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(n), "allocs/cell")
-	}
-	if cellUs.Count() > 0 {
-		b.ReportMetric(float64(cellUs.Percentile(50)), "p50_cell_us")
-		b.ReportMetric(float64(cellUs.Percentile(99)), "p99_cell_us")
+	if n > 0 {
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/cell")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "bytes/cell")
+		b.ReportMetric(metrics.Percentile(cellUs, 50), "p50_cell_us")
+		b.ReportMetric(metrics.Percentile(cellUs, 99), "p99_cell_us")
 	}
 }
 

@@ -4,7 +4,7 @@
 #   under the race detector (the harness worker pool must stay
 #   race-free at any -workers setting), a flake guard re-running the
 #   concurrency-heavy packages, a one-iteration benchmark smoke pass
-#   (benchmarks must at least run; their cells/sec, allocs/cell and
+#   (benchmarks must at least run; their cells/sec, allocs/cell, bytes/cell and
 #   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
 #   n derived from the highest committed snapshot, no hand edit per
 #   PR — and each benchmark's cells/sec is compared against the
@@ -49,7 +49,7 @@ go test -race ./...
 go test -race -count=2 -timeout 20m ./internal/harness/ ./internal/service/
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
-# their cells/sec + allocs/cell + per-cell latency percentile metrics
+# their cells/sec + allocs/cell + bytes/cell + per-cell latency percentile metrics
 # are snapshotted into BENCH_<n>.json so the perf trajectory the
 # ROADMAP asks for accumulates one file per PR. The PR number is
 # derived from the highest BENCH snapshot already committed (so a
@@ -68,17 +68,18 @@ awk '
 BEGIN { print "[" }
 /^Benchmark/ {
     name=$1; sub(/-[0-9]+$/, "", name)
-    cells=""; allocs=""; p50=""; p99=""
+    cells=""; allocs=""; bytes=""; p50=""; p99=""
     for (i = 2; i <= NF; i++) {
         if ($i == "cells/sec")   cells = $(i-1)
         if ($i == "allocs/cell") allocs = $(i-1)
+        if ($i == "bytes/cell")  bytes = $(i-1)
         if ($i == "p50_cell_us") p50 = $(i-1)
         if ($i == "p99_cell_us") p99 = $(i-1)
     }
     if (cells != "") {
         if (n++) printf ",\n"
-        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
-            name, cells, (allocs == "" ? "null" : allocs), \
+        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"bytes_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
+            name, cells, (allocs == "" ? "null" : allocs), (bytes == "" ? "null" : bytes), \
             (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99)
     }
 }

@@ -137,19 +137,20 @@ func main() {
 		traceCap = 1 << 17
 	}
 
+	duration := sim.Time(o.duration) * sim.Second
 	res := workload.RunScenario(workload.ScenarioConfig{
 		Scenario: o.scenario,
 		Device:   o.dev,
 		Scheme:   o.sch,
 		BGCase:   o.bc,
 		NumBG:    o.numBG,
-		Duration: sim.Time(o.duration) * sim.Second,
+		Duration: duration,
 		Seed:     o.seed,
 		TraceCap: traceCap,
 	})
 
 	fmt.Printf("device    : %s\n", o.dev)
-	fmt.Printf("scenario  : %s (%s), scheme %s, %v\n", o.scenario, o.bc, o.sch.Name(), res.Config.Duration)
+	fmt.Printf("scenario  : %s (%s), scheme %s, %v\n", o.scenario, o.bc, o.sch.Name(), duration)
 	fmt.Printf("frames    : %s\n", res.Frames)
 	fmt.Printf("memory    : reclaimed=%d refaulted=%d (FG %d / BG %d, 4KiB-eq x16)\n",
 		res.Mem.Total.Reclaimed, res.Mem.Total.Refaulted, res.Mem.RefaultFG, res.Mem.RefaultBG)

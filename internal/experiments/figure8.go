@@ -103,9 +103,8 @@ func runMatrix(o Options, devices []device.Profile, schemes []string, scenarios 
 			refaultBG.Add(res.Mem.RefaultBG)
 			ioPages.Add(res.IO.TotalPages())
 		}
-		// Label from the matrix coordinates, not the result: results can
-		// arrive over the wire without their Config (ScenarioResult does
-		// not marshal it).
+		// Label from the matrix coordinates: a ScenarioResult carries
+		// data only, not the configuration that produced it.
 		coord := matrix[g]
 		cells = append(cells, Figure8Cell{
 			Device:     coord.Device,

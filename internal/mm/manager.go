@@ -275,6 +275,13 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 		deadInPID: make(map[int]int),
 		perUID:    make(map[int]*Counter),
 		fgUID:     -1,
+		// The arena is allocated once, with a slot per physical page plus
+		// one per page the ZRAM partition can hold, instead of growing by
+		// append (and leaving every outgrown copy as garbage) while a cell
+		// fills its device. A cell whose evicted file pages and
+		// exit-pending slots exceed that still grows by append. Slot IDs
+		// are assigned exactly as before, so output is unchanged.
+		arena: make([]page, 0, cfg.TotalPages+z.Config().CapacityPages),
 	}
 	for i := range m.lists {
 		m.lists[i] = newLRUList()

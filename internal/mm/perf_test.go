@@ -97,3 +97,28 @@ func TestKswapdStepNoAllocs(t *testing.T) {
 		t.Fatalf("kswapd step allocated %.1f objects per run, want 0", allocs)
 	}
 }
+
+// TestArenaSizedOnce pins the page arena's one-off allocation: New sizes
+// it from the configuration (physical pages plus the ZRAM partition), and
+// mapping up to that many pages — reclaim included, since the test
+// manager overflows its RAM long before — never moves or regrows it.
+func TestArenaSizedOnce(t *testing.T) {
+	_, m := newTestManager(11)
+	want := m.cfg.TotalPages + m.z.Config().CapacityPages
+	if cap(m.arena) != want {
+		t.Fatalf("initial arena capacity %d, want %d", cap(m.arena), want)
+	}
+	m.MapOne(1, 10001, AnonJava)
+	base := &m.arena[0]
+	classes := []Class{AnonJava, File, AnonNative}
+	for i := 0; len(m.arena) < want; i++ {
+		n := min(64, want-len(m.arena))
+		m.Map(2+i%7, 10002+i%7, classes[i%len(classes)], n)
+		if cap(m.arena) != want || &m.arena[0] != base {
+			t.Fatalf("arena reallocated at %d of %d slots", len(m.arena), want)
+		}
+	}
+	if m.stats.Total.Reclaimed == 0 {
+		t.Fatal("mapping never entered reclaim; the test no longer covers it")
+	}
+}

@@ -30,7 +30,6 @@ type LaunchLoopConfig struct {
 
 // LaunchLoopResult aggregates the loop's outcome.
 type LaunchLoopResult struct {
-	Config LaunchLoopConfig
 	// PerRound[r] holds the launch records of round r (0-based).
 	PerRound [][]metrics.LaunchRecord
 	// All is every record in order.
@@ -81,7 +80,7 @@ func RunLaunchLoop(cfg LaunchLoopConfig) LaunchLoopResult {
 	}
 	sys.AM.InstallAll(cfg.Apps)
 
-	res := LaunchLoopResult{Config: cfg}
+	var res LaunchLoopResult
 	start := sys.Eng.Now()
 	for round := 0; round < cfg.Rounds; round++ {
 		var records []metrics.LaunchRecord

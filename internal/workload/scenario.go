@@ -87,13 +87,13 @@ type ScenarioConfig struct {
 
 // ScenarioResult is the outcome of one scenario run.
 type ScenarioResult struct {
-	// Config and Trace never cross the JSON wire: Config holds a
-	// policy.Scheme interface (which cannot unmarshal) and Trace's ring
-	// buffer is unexported. The icesimd sharding path ships cell
-	// results as JSON, so consumers of remote results must label cells
-	// from their matrix coordinates and keep trace-recording cells
-	// local (the coordinator does both).
-	Config    ScenarioConfig `json:"-"`
+	// A result is plain data: it holds no policy.Scheme and nothing
+	// else that reaches the simulated device, so a cell's device is
+	// garbage as soon as RunScenario returns, however long the result
+	// is kept. Consumers label cells from their matrix coordinates.
+	// Trace never crosses the JSON wire the icesimd fleet ships cell
+	// results over (its ring buffer is unexported), so the coordinator
+	// keeps trace-recording cells local.
 	Frames    metrics.FrameStats
 	Mem       mm.Stats
 	Distances mm.DistanceHistogram
@@ -243,7 +243,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	renderer := android.NewRenderer(sys)
 	sys.ResetMeasurement()
 	fgInst := sys.AM.App(fgName)
-	res := ScenarioResult{Config: cfg, FGResidentStart: fgInst.ResidentPages()}
+	res := ScenarioResult{FGResidentStart: fgInst.ResidentPages()}
 	renderer.Start(fgInst)
 	sys.Run(cfg.Duration)
 	renderer.Stop()

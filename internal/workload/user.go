@@ -38,8 +38,7 @@ type DayStats struct {
 
 // UserResult is one simulated volunteer's month.
 type UserResult struct {
-	Config UserConfig
-	Days   []DayStats
+	Days []DayStats
 	// Cumulative series sampled once per session (the paper samples every
 	// 30 s) for the Figure 3b timeline.
 	CumEvicted   []uint64
@@ -102,7 +101,7 @@ func RunUser(cfg UserConfig) UserResult {
 	// Each volunteer has their own favourite ordering.
 	order := rng.Perm(len(catalog))
 
-	res := UserResult{Config: cfg}
+	var res UserResult
 	sys.MM.ResetStats()
 	var prev mm.Stats
 	for day := 0; day < cfg.Days; day++ {
