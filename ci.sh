@@ -47,6 +47,10 @@ go test -race ./...
 # a row under the race detector. A scheduling-order dependence usually
 # shows up on the second, cache-warm iteration.
 go test -race -count=2 -timeout 20m ./internal/harness/ ./internal/service/
+# Every run's ordering guarantees rest on the harness's one LeaseQueue
+# pool, and Workers defaults to GOMAXPROCS, so -cpu varies both the pool
+# size and the scheduler's interleavings.
+go test -race -count=2 -cpu 1,4 ./internal/harness/
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
 # their cells/sec + allocs/cell + bytes/cell + per-cell latency percentile metrics

@@ -50,8 +50,10 @@ type Options struct {
 	Slots chan struct{}
 	// Hooks distributes the run matrix across processes (see
 	// harness.ExecHooks): a worker daemon restricts execution to a cell
-	// range and sinks per-cell JSON, a coordinator plans remote chunks.
-	// The zero value keeps execution fully local.
+	// range and sinks per-cell JSON, a coordinator shares the run's
+	// lease queue with remote workers, and a resumed job prefills the
+	// cells it already computed. The zero value keeps execution fully
+	// local.
 	Hooks harness.ExecHooks
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +15,7 @@ import (
 func runRange(run Runner, o Options, r harness.Range) ([][]byte, error) {
 	collected := make([][]byte, r.Len())
 	o.Hooks = harness.ExecHooks{
-		Range: harness.Cells(r.From, r.To),
+		Range: &r,
 		Sink: func(i int, b []byte) {
 			if i >= r.From && i < r.To {
 				collected[i-r.From] = append([]byte(nil), b...)
@@ -35,18 +34,24 @@ func runRange(run Runner, o Options, r harness.Range) ([][]byte, error) {
 }
 
 // TestRunnersShardLoopback proves every registered runner's cell type
-// survives the sharding wire: a sharded run whose chunks are computed
-// by loopback range-restricted re-runs (the path a remote worker
-// executes, minus HTTP) must render and marshal byte-identically to
-// the plain local run. A runner whose per-cell result loses data
-// through JSON — unexported fields, non-nil interfaces — fails here.
+// survives the sharding wire: cells [1,n) computed by a range-restricted
+// re-run (the path a worker daemon executes, minus HTTP) and fed back
+// through Hooks.Prefill — the same unmarshal-and-merge a remote
+// LeaseQueue.Complete crosses — must render and marshal
+// byte-identically to the plain local run. A runner whose per-cell
+// result loses data through JSON — unexported fields, non-nil
+// interfaces — fails here.
 func TestRunnersShardLoopback(t *testing.T) {
 	for _, run := range Registry() {
 		run := run
 		t.Run(run.ID, func(t *testing.T) {
 			t.Parallel()
 			base := Options{Fast: true, Workers: 2}
-			render1, data1, err := run.Run(base)
+			// The local run's Sink counts the matrix.
+			local := base
+			n := 0
+			local.Hooks.Sink = func(int, []byte) { n++ }
+			render1, data1, err := run.Run(local)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,33 +61,43 @@ func TestRunnersShardLoopback(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sharded := base
-			sharded.Hooks.Shard = func(total int) []harness.RemoteChunk {
-				var chunks []harness.RemoteChunk
-				for _, r := range harness.Partition(total, 3)[1:] {
-					r := r
-					chunks = append(chunks, harness.RemoteChunk{
-						Range: r,
-						Exec: func(context.Context) ([][]byte, error) {
-							return runRange(run, base, r)
-						},
-					})
-				}
-				return chunks
+			if n < 2 {
+				t.Fatalf("sink saw %d cells, want a matrix of at least 2", n)
 			}
-			render2, data2, err := run.Run(sharded)
+			// Compute every cell but the first (cell 0 alone may record a
+			// trace) out of process.
+			payloads, err := runRange(run, base, harness.Range{From: 1, To: n})
 			if err != nil {
 				t.Fatal(err)
+			}
+			merged := base
+			merged.Hooks.Prefill = make(map[int][]byte, len(payloads))
+			for k, b := range payloads {
+				merged.Hooks.Prefill[1+k] = b
+			}
+			// Merged cells report no execution time; only cell 0 runs.
+			executed := 0
+			merged.Progress = func(p harness.Progress) {
+				if p.CellTime > 0 {
+					executed++
+				}
+			}
+			render2, data2, err := run.Run(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if executed != 1 {
+				t.Fatalf("merged run executed %d cells, want only cell 0", executed)
 			}
 			json2, err := json.Marshal(data2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if string(json1) != string(json2) {
-				t.Errorf("sharded run marshals differently\nlocal:   %.300s\nsharded: %.300s", json1, json2)
+				t.Errorf("merged run marshals differently\nlocal:  %.300s\nmerged: %.300s", json1, json2)
 			}
 			if text2 := render2(); text1 != text2 {
-				t.Errorf("sharded run renders differently\nlocal:\n%s\nsharded:\n%s", text1, text2)
+				t.Errorf("merged run renders differently\nlocal:\n%s\nmerged:\n%s", text1, text2)
 			}
 		})
 	}

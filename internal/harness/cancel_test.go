@@ -2,16 +2,113 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// prefixCase is one input of the completed-prefix cancellation tests:
+// an optional Range and a set of prefilled indices (some outside the
+// range or the matrix, which the harness must ignore).
+type prefixCase struct {
+	name    string
+	rng     *Range
+	prefill []int
+}
+
+// prefixCases scales the inputs to an n-cell matrix.
+func prefixCases(n int) []prefixCase {
+	rng := &Range{From: n / 8, To: n - n/8}
+	prefill := []int{0, 1, 2, 5, n / 8, n/8 + 1, n / 2, n - 1, n + 3}
+	return []prefixCase{
+		{name: "plain"},
+		{name: "range", rng: rng},
+		{name: "prefill", prefill: prefill},
+		{name: "range+prefill", rng: rng, prefill: prefill},
+	}
+}
+
+// hooks builds the case's ExecHooks, prefilling from the reference
+// results ref.
+func (pc prefixCase) hooks(ref []int64) ExecHooks {
+	h := ExecHooks{Range: pc.rng}
+	if pc.prefill != nil {
+		h.Prefill = map[int][]byte{}
+		for _, i := range pc.prefill {
+			v := int64(-1) // out-of-matrix index: any payload
+			if i < len(ref) {
+				v = ref[i]
+			}
+			h.Prefill[i], _ = json.Marshal(v)
+		}
+	}
+	return h
+}
+
+// merged reports whether cell i is prefilled and inside the range, so
+// the run merges it instead of executing it.
+func (pc prefixCase) merged(i int) bool {
+	return pc.inRange(i) && slices.Contains(pc.prefill, i)
+}
+
+func (pc prefixCase) inRange(i int) bool {
+	return pc.rng == nil || (i >= pc.rng.From && i < pc.rng.To)
+}
+
+// queued lists the indices a run must execute, in order: in range and
+// not prefilled.
+func (pc prefixCase) queued(n int) []int {
+	var q []int
+	for i := 0; i < n; i++ {
+		if pc.inRange(i) && !pc.merged(i) {
+			q = append(q, i)
+		}
+	}
+	return q
+}
+
+// checkPrefix asserts that a cancelled run of case pc executed a strict,
+// non-empty prefix of its queued indices, that executed and merged
+// slots hold the reference values, and that every other slot is zero.
+func checkPrefix(t *testing.T, label string, pc prefixCase, executed []int, out, ref []int64) {
+	t.Helper()
+	queued := pc.queued(len(ref))
+	done := len(executed)
+	if done == 0 || done >= len(queued) {
+		t.Fatalf("%s: %d of %d queued cells executed, expected a strict subset", label, done, len(queued))
+	}
+	// Cells are claimed in queue order and claiming stops on
+	// cancellation, so the executed cells are exactly queued[:done].
+	ran := map[int]bool{}
+	for _, i := range executed {
+		ran[i] = true
+	}
+	for _, i := range queued[:done] {
+		if !ran[i] {
+			t.Fatalf("%s: %d cells executed but queued index %d missing (not a prefix of %v)", label, done, i, queued)
+		}
+	}
+	for i := range out {
+		want := int64(0)
+		if ran[i] || pc.merged(i) {
+			want = ref[i]
+		}
+		if out[i] != want {
+			t.Fatalf("%s: slot %d = %d, want %d", label, i, out[i], want)
+		}
+	}
+}
+
 // TestMapContextCancelMidMatrix cancels a running matrix at several
-// worker counts and asserts the three cancellation guarantees: the
-// completed cells form a prefix of the matrix, that prefix is
+// worker counts, with and without Range and Prefill, and asserts the
+// three cancellation guarantees: the executed cells form a prefix of
+// the in-range, non-prefilled indices, the merged slots are
 // byte-identical to an uncancelled run, and the error carries
 // context.Canceled alongside zero cell errors.
 func TestMapContextCancelMidMatrix(t *testing.T) {
@@ -23,61 +120,41 @@ func TestMapContextCancelMidMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
-		var progressed []int
-		out, err := MapContext(ctx, Config{
-			BaseSeed: 13,
-			Workers:  workers,
-			Progress: func(p Progress) { progressed = append(progressed, p.Cell.Index) },
-		}, cells, func(c Cell) int64 {
-			if started.Add(1) == 10 {
-				cancel()
-			}
-			time.Sleep(time.Millisecond) // give other workers time to observe
-			return c.Seed
-		})
-		cancel()
+	for _, pc := range prefixCases(len(cells)) {
+		for _, workers := range []int{1, 2, 4, 8} {
+			label := fmt.Sprintf("%s workers=%d", pc.name, workers)
+			ctx, cancel := context.WithCancel(context.Background())
+			var mu sync.Mutex
+			var executed []int
+			out, err := MapContext(ctx, Config{
+				BaseSeed:  13,
+				Workers:   workers,
+				ExecHooks: pc.hooks(serial),
+			}, cells, func(c Cell) int64 {
+				mu.Lock()
+				executed = append(executed, c.Index)
+				if len(executed) == 10 {
+					cancel()
+				}
+				mu.Unlock()
+				time.Sleep(time.Millisecond) // give other workers time to observe
+				return c.Seed
+			})
+			cancel()
 
-		if err == nil {
-			t.Fatalf("workers=%d: no error after cancellation", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: error %v does not wrap context.Canceled", workers, err)
-		}
-		if ces := Errs(err); len(ces) != 0 {
-			t.Fatalf("workers=%d: unexpected cell errors %v", workers, ces)
-		}
-		if len(out) != len(cells) {
-			t.Fatalf("workers=%d: result length %d, want full matrix %d", workers, len(out), len(cells))
-		}
-		done := len(progressed)
-		if done == 0 || done >= len(cells) {
-			t.Fatalf("workers=%d: %d cells completed, expected a strict subset", workers, done)
-		}
-		// Completed cells are exactly the matrix prefix [0, done): cells
-		// are claimed in index order and claiming stops on cancellation.
-		seen := map[int]bool{}
-		for _, idx := range progressed {
-			seen[idx] = true
-		}
-		for i := 0; i < done; i++ {
-			if !seen[i] {
-				t.Fatalf("workers=%d: %d cells done but index %d missing (not a prefix)", workers, done, i)
+			if err == nil {
+				t.Fatalf("%s: no error after cancellation", label)
 			}
-		}
-		// The prefix matches the uncancelled serial run; untouched slots
-		// stay zero.
-		for i := 0; i < done; i++ {
-			if out[i] != serial[i] {
-				t.Fatalf("workers=%d: slot %d = %d, serial run had %d", workers, i, out[i], serial[i])
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: error %v does not wrap context.Canceled", label, err)
 			}
-		}
-		for i := done; i < len(out); i++ {
-			if out[i] != 0 {
-				t.Fatalf("workers=%d: unclaimed slot %d has value %d", workers, i, out[i])
+			if ces := Errs(err); len(ces) != 0 {
+				t.Fatalf("%s: unexpected cell errors %v", label, ces)
 			}
+			if len(out) != len(cells) {
+				t.Fatalf("%s: result length %d, want full matrix %d", label, len(out), len(cells))
+			}
+			checkPrefix(t, label, pc, executed, out, serial)
 		}
 	}
 }
@@ -138,47 +215,42 @@ func TestMapContextCancelNoGoroutineLeak(t *testing.T) {
 // cancellation, letting a later-index cell that already held a slot
 // complete — a hole in the documented completed-prefix invariant.
 // Workers now acquire the slot before claiming, so every claimed cell
-// runs and the completed cells form a prefix at any interleaving.
+// runs and the executed cells form a prefix of the in-range,
+// non-prefilled indices at any interleaving.
 func TestMapContextSlotsCancelKeepsPrefix(t *testing.T) {
 	cells := Spec{Rounds: 24}.Cells()
-	for trial := 0; trial < 30; trial++ {
-		slots := make(chan struct{}, 1) // single-slot budget: workers contend
-		ctx, cancel := context.WithCancel(context.Background())
-		var progressed []int
-		out, err := MapContext(ctx, Config{
-			BaseSeed: 9, Workers: 4, Slots: slots,
-			Progress: func(p Progress) { progressed = append(progressed, p.Cell.Index) },
-		}, cells, func(c Cell) int64 {
-			if c.Index == 2 {
-				cancel()
+	serial, err := Map(Config{BaseSeed: 9, Workers: 1}, cells, func(c Cell) int64 { return c.Seed })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range prefixCases(len(cells)) {
+		for trial := 0; trial < 30; trial++ {
+			label := fmt.Sprintf("%s trial %d", pc.name, trial)
+			slots := make(chan struct{}, 1) // single-slot budget: workers contend
+			ctx, cancel := context.WithCancel(context.Background())
+			var mu sync.Mutex
+			var executed []int
+			out, err := MapContext(ctx, Config{
+				BaseSeed: 9, Workers: 4, Slots: slots,
+				ExecHooks: pc.hooks(serial),
+			}, cells, func(c Cell) int64 {
+				mu.Lock()
+				executed = append(executed, c.Index)
+				if len(executed) == 3 {
+					cancel()
+				}
+				mu.Unlock()
+				time.Sleep(time.Millisecond) // let other workers pile up on the slot
+				return c.Seed
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: error %v does not wrap context.Canceled", label, err)
 			}
-			time.Sleep(time.Millisecond) // let other workers pile up on the slot
-			return c.Seed
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("trial %d: error %v does not wrap context.Canceled", trial, err)
-		}
-		done := len(progressed)
-		if done == 0 || done >= len(cells) {
-			t.Fatalf("trial %d: %d cells completed, expected a strict subset", trial, done)
-		}
-		seen := map[int]bool{}
-		for _, idx := range progressed {
-			seen[idx] = true
-		}
-		for i := 0; i < done; i++ {
-			if !seen[i] {
-				t.Fatalf("trial %d: %d cells done but index %d missing (not a prefix)", trial, done, i)
+			checkPrefix(t, label, pc, executed, out, serial)
+			if len(slots) != 0 {
+				t.Fatalf("%s: %d slots leaked", label, len(slots))
 			}
-		}
-		for i := range out {
-			if !seen[i] && out[i] != 0 {
-				t.Fatalf("trial %d: abandoned slot %d holds value %d", trial, i, out[i])
-			}
-		}
-		if len(slots) != 0 {
-			t.Fatalf("trial %d: %d slots leaked", trial, len(slots))
 		}
 	}
 }

@@ -1,21 +1,19 @@
 package harness
 
-// lease.go is the pull-based work-stealing side of the harness: instead
-// of a ShardPlanner deciding up front which contiguous slice of the
-// matrix each executor owns, a LeaseQueue holds the matrix as a deque
-// of cell-range chunks and every executor — the local worker pool and
-// any number of remote lease loops — pulls the next chunk when it
-// finishes its previous one. A slow or busy executor simply stops
-// pulling, so stragglers shed load without any replanning; a failed
-// remote lease is requeued at the front of the deque and the next
-// puller (possibly the local pool) runs it. Results merge by matrix
-// index exactly as in every other execution mode, so the output is
-// byte-identical to a single-process run at any executor count, join
-// order, or failure pattern.
+// lease.go is the harness's one dispatch path. Every MapContext run
+// puts the indices it must execute on a LeaseQueue: a deque of
+// contiguous cell-range chunks that every executor pulls from when it
+// finishes its previous chunk. The local pool drains it one cell per
+// chunk; under StealConfig the chunks grow to ChunkCells and remote
+// lease loops pull from the same deque. A slow or busy executor simply
+// stops pulling, so stragglers shed load without any replanning; a
+// failed remote lease is requeued at the front of the deque and the
+// next puller (possibly the local pool) runs it. Results merge by
+// matrix index, so the output is byte-identical to a single-process
+// run at any executor count, join order, or failure pattern.
 
 import (
 	"context"
-	"runtime"
 	"sync"
 )
 
@@ -25,11 +23,11 @@ import (
 // overhead stays negligible.
 const defaultStealChunks = 16
 
-// StealConfig switches a run into pull-based work-stealing dispatch
-// (ExecHooks.Steal). The harness splits the locally planned index
-// space into contiguous chunks on a LeaseQueue; the local pool leases
-// chunks like any other executor, and Run is started on its own
-// goroutine to feed remote executors from the same queue.
+// StealConfig opens a run's LeaseQueue to remote executors
+// (ExecHooks.Steal). The harness splits the queued index space into
+// contiguous chunks; the local pool leases chunks like any other
+// executor, and Run is started on its own goroutine to feed remote
+// executors from the same queue.
 type StealConfig struct {
 	// ChunkCells caps how many cells one lease covers. <=0 splits the
 	// index space into about defaultStealChunks chunks.
@@ -44,8 +42,8 @@ type StealConfig struct {
 	Run func(ctx context.Context, q *LeaseQueue)
 }
 
-// LeaseQueue is the shared chunk deque of one work-stealing run. The
-// local pool and remote lease loops pull from it concurrently:
+// LeaseQueue is the shared chunk deque of one run. The local pool and
+// remote lease loops pull from it concurrently:
 //
 //   - Lease hands the next stealable chunk to a remote executor,
 //     blocking while the deque is empty but an outstanding remote
@@ -79,19 +77,20 @@ type LeaseQueue struct {
 	done      bool
 	drained   chan struct{}
 
-	// inject merges one remotely computed chunk (one payload per cell,
+	// merge merges one remotely computed chunk (one payload per cell,
 	// in index order) into the run's output; it reports false on any
-	// malformed payload without writing. Set by MapContext; called
-	// under mu, which serialises remote merges against queue shutdown.
-	inject func(r Range, payloads [][]byte) bool
+	// malformed payload without writing. Called under mu, which
+	// serialises remote merges against queue shutdown.
+	merge func(r Range, payloads [][]byte) bool
 }
 
-// newLeaseQueue chunks the ascending local index list into contiguous
-// ranges of at most chunkCells cells each. Non-contiguous index lists
-// (a resumed job's prefill leaves gaps) produce one chunk sequence per
-// contiguous run.
-func newLeaseQueue(local []int, chunkCells int) *LeaseQueue {
-	q := &LeaseQueue{drained: make(chan struct{})}
+// newLeaseQueue chunks the ascending index list into contiguous ranges
+// of at most chunkCells cells each (<=0 splits it into about
+// defaultStealChunks chunks). Non-contiguous index lists (a resumed
+// job's prefill leaves gaps) produce one chunk sequence per contiguous
+// run.
+func newLeaseQueue(local []int, chunkCells int, merge func(Range, [][]byte) bool) *LeaseQueue {
+	q := &LeaseQueue{drained: make(chan struct{}), merge: merge}
 	q.cond = sync.NewCond(&q.mu)
 	if chunkCells <= 0 {
 		chunkCells = (len(local) + defaultStealChunks - 1) / defaultStealChunks
@@ -160,7 +159,7 @@ func (q *LeaseQueue) Complete(r Range, payloads [][]byte) bool {
 		q.cond.Broadcast()
 		return false
 	}
-	if !q.inject(r, payloads) {
+	if !q.merge(r, payloads) {
 		q.pending = append([]Range{r}, q.pending...)
 		q.cond.Broadcast()
 		return false
@@ -186,31 +185,34 @@ func (q *LeaseQueue) Requeue(r Range) {
 // cancelled) — the dispatcher's signal that the job is over.
 func (q *LeaseQueue) Drained() <-chan struct{} { return q.drained }
 
-// leaseLocal pulls the next chunk for the local pool, preferring
-// pinned chunks (only the local pool may run them). False means no
-// chunk can ever become available for local execution again.
-func (q *LeaseQueue) leaseLocal() (Range, bool) {
+// tryLeaseLocal claims the next chunk for the local pool without
+// blocking, preferring pinned chunks (only the local pool may run
+// them). When it claims nothing, wait reports whether an outstanding
+// remote lease could still requeue a chunk (call waitLocal, then
+// retry); otherwise the local pool is done.
+func (q *LeaseQueue) tryLeaseLocal() (r Range, ok, wait bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.cancelled {
-			return Range{}, false
-		}
-		if len(q.pinned) > 0 {
-			r := q.pinned[0]
-			q.pinned = q.pinned[1:]
-			q.outLocal++
-			return r, true
-		}
-		if len(q.pending) > 0 {
-			r := q.pending[0]
-			q.pending = q.pending[1:]
-			q.outLocal++
-			return r, true
-		}
-		if q.outRemote == 0 {
-			return Range{}, false
-		}
+	switch {
+	case q.cancelled:
+		return Range{}, false, false
+	case len(q.pinned) > 0:
+		r, q.pinned = q.pinned[0], q.pinned[1:]
+	case len(q.pending) > 0:
+		r, q.pending = q.pending[0], q.pending[1:]
+	default:
+		return Range{}, false, q.outRemote > 0
+	}
+	q.outLocal++
+	return r, true, false
+}
+
+// waitLocal blocks until a chunk is leasable, no remote lease is
+// outstanding, or the run is cancelled.
+func (q *LeaseQueue) waitLocal() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.cancelled && len(q.pinned) == 0 && len(q.pending) == 0 && q.outRemote > 0 {
 		q.cond.Wait()
 	}
 }
@@ -227,7 +229,7 @@ func (q *LeaseQueue) resolveLocal() {
 
 // cancelAll wakes every waiter and turns all further queue operations
 // into no-ops. Called on context cancellation and, as a barrier, when
-// the run's local pool finishes: inject runs under mu, so after
+// the run's local pool finishes: merge runs under mu, so after
 // cancelAll returns no remote merge is in flight and none can start —
 // which is what lets MapContext return without waiting for Run.
 func (q *LeaseQueue) cancelAll() {
@@ -249,60 +251,81 @@ func (q *LeaseQueue) checkDrainedLocked() {
 	}
 }
 
-// runSteal is the local pool of a work-stealing run: workers lease
-// chunks from the queue alongside the remote loops and execute their
-// cells in index order, acquiring the usual execution budgets per
-// cell. It returns when every chunk is resolved or the run is
-// cancelled mid-chunk.
-func runSteal[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr *tracker, fn func(Cell) T, q *LeaseQueue) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// drain is the run's local pool: workers goroutines lease chunks from
+// q alongside any remote lease loops and execute their cells in index
+// order. Each worker acquires its execution budgets before it claims a
+// cell, so a worker abandoned on cancellation has claimed nothing and,
+// with one-cell chunks, the executed cells form a prefix of the queued
+// indices. No worker holds a budget while it waits for an outstanding
+// remote lease to resolve. drain returns when every chunk is resolved
+// or the run is cancelled.
+func drain[T any](ctx context.Context, cfg Config, workers int, q *LeaseQueue, stamped []Cell, out []T, tr *tracker, fn func(Cell) T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var r Range // the unexecuted rest of this worker's lease
 			for {
-				r, ok := q.leaseLocal()
-				if !ok {
-					return
+				if ctx.Err() != nil || !acquire(ctx, cfg) {
+					return // abandoned; cancelAll runs via AfterFunc
 				}
-				for i := r.From; i < r.To; i++ {
-					if ctx.Err() != nil {
-						return // abandoned mid-chunk; cancelAll runs via AfterFunc
-					}
-					if cfg.Slots != nil {
-						select {
-						case cfg.Slots <- struct{}{}:
-						case <-ctx.Done():
+				if r.Len() == 0 {
+					var ok, wait bool
+					if r, ok, wait = q.tryLeaseLocal(); !ok {
+						release(cfg)
+						if !wait {
 							return
 						}
+						q.waitLocal()
+						continue
 					}
-					if cfg.CellQuota != nil {
-						select {
-						case cfg.CellQuota <- struct{}{}:
-						case <-ctx.Done():
-							if cfg.Slots != nil {
-								<-cfg.Slots
-							}
-							return
-						}
-					}
-					c := stamped[i]
-					cerr, sunk, cellTime := computeCell(cfg, c, &out[i], tr, fn)
-					if cfg.CellQuota != nil {
-						<-cfg.CellQuota
-					}
-					if cfg.Slots != nil {
-						<-cfg.Slots
-					}
-					tr.complete(c, cellTime, cerr, sunk)
 				}
-				q.resolveLocal()
+				c := stamped[r.From]
+				r.From++
+				cerr, sunk, cellTime := computeCell(cfg, c, &out[c.Index], tr, fn)
+				release(cfg)
+				tr.complete(c, cellTime, cerr, sunk)
+				if r.Len() == 0 {
+					q.resolveLocal()
+				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// acquire takes one unit of each execution budget: the global Slots
+// first, then the per-principal CellQuota. Every CellQuota holder thus
+// already holds a Slots unit, so the two semaphores cannot form a
+// cycle. It reports false, holding nothing, when ctx ends first.
+func acquire(ctx context.Context, cfg Config) bool {
+	if cfg.Slots != nil {
+		select {
+		case cfg.Slots <- struct{}{}:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	if cfg.CellQuota != nil {
+		select {
+		case cfg.CellQuota <- struct{}{}:
+		case <-ctx.Done():
+			if cfg.Slots != nil {
+				<-cfg.Slots
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// release returns the budgets acquire took.
+func release(cfg Config) {
+	if cfg.CellQuota != nil {
+		<-cfg.CellQuota
+	}
+	if cfg.Slots != nil {
+		<-cfg.Slots
+	}
 }

@@ -145,8 +145,8 @@ func TestStealRequeueRunsLocally(t *testing.T) {
 }
 
 // TestStealGarbagePayloadRequeues: Complete rejects a payload set that
-// does not unmarshal, requeues the chunk, and the merged result stays
-// correct with no slot corrupted.
+// does not unmarshal, or has the wrong count, requeues the chunk, and
+// the merged result stays correct with no slot corrupted.
 func TestStealGarbagePayloadRequeues(t *testing.T) {
 	cells := Spec{Rounds: 8}.Cells()
 	fn := func(c Cell) int64 { return c.Seed }
@@ -154,36 +154,44 @@ func TestStealGarbagePayloadRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejected := make(chan bool, 1)
-	// One slow local worker: the pinned chunk keeps it busy long enough
-	// that the remote loop reliably leases a stealable chunk.
-	cfg := Config{BaseSeed: 2, Workers: 1}
-	cfg.Steal = &StealConfig{
-		ChunkCells: 2,
-		Run: func(ctx context.Context, q *LeaseQueue) {
-			r, ok := q.Lease()
-			if !ok {
-				rejected <- false
-				return
-			}
+	bads := map[string]func(r Range) [][]byte{
+		"garbage": func(r Range) [][]byte {
 			bad := make([][]byte, r.Len())
 			for i := range bad {
 				bad[i] = []byte("not json")
 			}
-			rejected <- !q.Complete(r, bad)
+			return bad
 		},
+		"short": func(r Range) [][]byte { return [][]byte{[]byte("1")} },
 	}
-	out, err := Map(cfg, cells, func(c Cell) int64 { time.Sleep(2 * time.Millisecond); return fn(c) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != serial[i] {
-			t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
+	for name, bad := range bads {
+		rejected := make(chan bool, 1)
+		// One slow local worker: the pinned chunk keeps it busy long
+		// enough that the remote loop reliably leases a stealable chunk.
+		cfg := Config{BaseSeed: 2, Workers: 1}
+		cfg.Steal = &StealConfig{
+			ChunkCells: 2,
+			Run: func(ctx context.Context, q *LeaseQueue) {
+				r, ok := q.Lease()
+				if !ok {
+					rejected <- false
+					return
+				}
+				rejected <- !q.Complete(r, bad(r))
+			},
 		}
-	}
-	if ok := <-rejected; !ok {
-		t.Fatal("Complete accepted garbage payloads (or the loop never leased)")
+		out, err := Map(cfg, cells, func(c Cell) int64 { time.Sleep(2 * time.Millisecond); return fn(c) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			if out[i] != serial[i] {
+				t.Fatalf("%s: slot %d = %d, want %d", name, i, out[i], serial[i])
+			}
+		}
+		if ok := <-rejected; !ok {
+			t.Fatalf("%s: Complete accepted bad payloads (or the loop never leased)", name)
+		}
 	}
 }
 
@@ -241,7 +249,7 @@ func TestStealComposesWithPrefill(t *testing.T) {
 		return fn(c)
 	}
 	cfg := Config{BaseSeed: 7, Workers: 2}
-	cfg.Shard = Prefill(saved, nil)
+	cfg.Prefill = saved
 	cfg.Steal = &StealConfig{
 		ChunkCells: 2,
 		Run: func(ctx context.Context, q *LeaseQueue) {

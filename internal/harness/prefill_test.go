@@ -39,7 +39,7 @@ func TestPrefillResumesWithoutReexecution(t *testing.T) {
 		partial[i] = saved[i]
 	}
 	var executed atomic.Int64
-	resumed, err := Map(Config{Workers: 2, ExecHooks: ExecHooks{Shard: Prefill(partial, nil)}},
+	resumed, err := Map(Config{Workers: 2, ExecHooks: ExecHooks{Prefill: partial}},
 		cells, func(c Cell) int {
 			executed.Add(1)
 			return fn(c)
@@ -56,7 +56,7 @@ func TestPrefillResumesWithoutReexecution(t *testing.T) {
 
 	// Full prefill: nothing executes at all.
 	executed.Store(0)
-	again, err := Map(Config{ExecHooks: ExecHooks{Shard: Prefill(saved, nil)}},
+	again, err := Map(Config{ExecHooks: ExecHooks{Prefill: saved}},
 		cells, func(c Cell) int {
 			executed.Add(1)
 			return fn(c)
@@ -71,9 +71,30 @@ func TestPrefillResumesWithoutReexecution(t *testing.T) {
 		t.Fatalf("fully prefilled run executed %d cells, want 0", n)
 	}
 
-	// Empty saved map degrades to the inner planner (nil here).
-	if Prefill(nil, nil) != nil {
-		t.Fatal("Prefill(nil, nil) should be nil")
+	// A saved payload that does not unmarshal is dropped: its cell
+	// re-executes exactly once and the merged result still matches.
+	corrupt := map[int][]byte{}
+	for i, b := range saved {
+		corrupt[i] = b
+	}
+	corrupt[4] = []byte("not json")
+	var ranCells []int
+	var ranMu sync.Mutex
+	fixed, err := Map(Config{Workers: 2, ExecHooks: ExecHooks{Prefill: corrupt}},
+		cells, func(c Cell) int {
+			ranMu.Lock()
+			ranCells = append(ranCells, c.Index)
+			ranMu.Unlock()
+			return fn(c)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(fixed), fmt.Sprint(full); got != want {
+		t.Fatalf("run with a corrupt prefill differs: %s vs %s", got, want)
+	}
+	if fmt.Sprint(ranCells) != "[4]" {
+		t.Fatalf("run with a corrupt prefill executed cells %v, want only [4]", ranCells)
 	}
 }
 
@@ -85,7 +106,7 @@ func TestPrefillOutOfRangeIgnored(t *testing.T) {
 		cells[i] = Cell{Round: i}
 	}
 	bogus, _ := json.Marshal(999)
-	out, err := Map(Config{ExecHooks: ExecHooks{Shard: Prefill(map[int][]byte{7: bogus, -1: bogus}, nil)}},
+	out, err := Map(Config{ExecHooks: ExecHooks{Prefill: map[int][]byte{7: bogus, -1: bogus}}},
 		cells, func(c Cell) int { return c.Index })
 	if err != nil {
 		t.Fatal(err)

@@ -52,8 +52,8 @@ type ExperimentResult struct {
 // Perfetto trace-event JSON. slots is the daemon's global cell budget;
 // progress receives the harness callback stream. hooks distributes the
 // matrix across nodes (see harness.ExecHooks): a coordinator passes a
-// shard planner, a worker a cell range + sink, a single node the zero
-// value.
+// steal config, a worker a cell range + sink, a resumed batch job its
+// saved payloads as a prefill, a single node the zero value.
 func execute(ctx context.Context, spec JobSpec, slots chan struct{}, progress func(harness.Progress), hooks harness.ExecHooks) (result, traceJSON []byte, err error) {
 	// Priority decides when a job runs, never what it computes; strip
 	// it so the marshalled result (which embeds the spec) is

@@ -251,7 +251,6 @@ type Manager struct {
 	// Config.Coordinator, the served set only with WorkerEndpoint; both
 	// stay nil (and nil-safe) otherwise. peerCacheServedCtr is always
 	// registered: any node may serve its cache to a coordinator.
-	shardDispatchCtr    *obs.Counter
 	shardRemoteCtr      *obs.Counter
 	shardStealCtr       *obs.Counter
 	shardLeaseCtr       *obs.Counter
@@ -375,7 +374,6 @@ func OpenManager(cfg Config) (*Manager, error) {
 	}
 	m.peerCacheServedCtr = reg.Counter("service.cache.peer_served")
 	if cfg.Coordinator {
-		m.shardDispatchCtr = reg.Counter("service.shard.dispatched")
 		m.shardRemoteCtr = reg.Counter("service.shard.remote_cells")
 		m.shardStealCtr = reg.Counter("service.shard.steals")
 		m.shardLeaseCtr = reg.Counter("service.shard.leases")
@@ -661,11 +659,11 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	// becomes a lease queue of chunks that the local pool and every
 	// registered peer pull from, and the harness merges remote payloads
 	// in matrix order, so the result is byte-identical to a single-node
-	// run at any membership or failure pattern. Prefill injects a
+	// run at any membership or failure pattern. Prefill merges a
 	// resumed job's already-completed cells from the saved payloads
 	// instead of executing them anywhere.
 	hooks := harness.ExecHooks{
-		Shard:     harness.Prefill(prefill, nil),
+		Prefill:   prefill,
 		Steal:     m.stealConfig(spec, j.principal),
 		ObsSink:   m.foldSim,
 		CellQuota: quota,
@@ -726,8 +724,8 @@ func (m *Manager) publish(j *job, p harness.Progress) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.progress = p
-	// CellTime is zero for remote-injected cells; the executing worker
-	// records those into its own harness.cell_us.
+	// CellTime is zero for merged (remote or prefilled) cells; the
+	// process that executed them recorded them into its harness.cell_us.
 	if p.CellTime > 0 {
 		m.cellUs.Observe(p.CellTime.Microseconds())
 	}

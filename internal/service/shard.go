@@ -431,7 +431,6 @@ func (m *Manager) peerStealLoop(s *stealSession, p *peer) {
 		}
 		m.mu.Lock()
 		m.shardLeaseCtr.Inc()
-		m.shardDispatchCtr.Inc()
 		m.mu.Unlock()
 		cells, err := m.postCells(s.ctx, p, s.spec, r, s.principal)
 		if err != nil {
@@ -536,7 +535,7 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 	collected := make([][]byte, to-from)
 	got := 0
 	hooks := harness.ExecHooks{
-		Range: harness.Cells(from, to),
+		Range: &harness.Range{From: from, To: to},
 		Sink: func(i int, b []byte) { // calls serialised by the harness
 			if i >= from && i < to && collected[i-from] == nil {
 				collected[i-from] = b

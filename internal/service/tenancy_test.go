@@ -103,12 +103,25 @@ func TestFairQueueDRR(t *testing.T) {
 // bob's max-queued quota yields 429, and an interactive job preempts
 // bob's running batch job at a cell boundary — after which BOTH final
 // results are byte-identical to uninterrupted runs of the same specs
-// on a fresh open daemon.
+// on a fresh open daemon. It runs on a plain node and on a coordinator
+// with no peers, where the resumed job's Prefill shares the run's
+// LeaseQueue with the (idle) work-stealing session.
 func TestTenancyEndToEnd(t *testing.T) {
+	for _, coordinator := range []bool{false, true} {
+		name := "node"
+		if coordinator {
+			name = "coordinator"
+		}
+		t.Run(name, func(t *testing.T) { testTenancyEndToEnd(t, coordinator) })
+	}
+}
+
+func testTenancyEndToEnd(t *testing.T, coordinator bool) {
 	m := NewManager(Config{
 		MaxWorkers:     1,
 		MaxRunningJobs: 1,
 		AuthTokens:     testRegistry(t),
+		Coordinator:    coordinator,
 	})
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -226,6 +239,11 @@ func TestTenancyEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(gotFast, wantFast) {
 		t.Error("interactive result differs from the uninterrupted run")
+	}
+	// The resume merged the saved cells instead of re-simulating them:
+	// every cell of both jobs executed exactly once.
+	if cell, _ := m.Metrics().Hist("harness.cell_us"); cell.Count != uint64(batchSpec.Rounds+fastSpec.Rounds) {
+		t.Errorf("%d cells executed, want %d (each once)", cell.Count, batchSpec.Rounds+fastSpec.Rounds)
 	}
 
 	// The per-principal series surfaced in the exposition.
