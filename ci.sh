@@ -126,6 +126,8 @@ go test -run=TestExportChromeGolden ./internal/trace/
 # fixed-seed golden hash (internal/workload/golden_test.go). A drift here
 # means a refactor changed simulation behaviour.
 go test -run=TestSchemeGolden ./internal/workload/
+# Tracing must not steer a run: traced and untraced results, instruments and event counts match.
+go test -run=TestTracedRunMatchesUntraced ./internal/workload/
 
 # icesimd smoke: boot on a random port with a persistent state dir,
 # health-check, run one tiny job twice (the second answer must come from

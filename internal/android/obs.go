@@ -59,19 +59,21 @@ func (sys *System) TraceSubjects() map[int]string {
 	return names
 }
 
-// counterSamplePeriod paces the trace counter tracks (Sam, reclaim rate,
+// CounterSamplePeriod paces the trace counter tracks (Sam, reclaim rate,
 // frozen apps, runqueue depth).
-const counterSamplePeriod = 200 * sim.Millisecond
+const CounterSamplePeriod = 200 * sim.Millisecond
 
 // startCounterSampler emits periodic counter samples into the trace
-// buffer. It only reads simulation state, so enabling it cannot perturb
-// the simulated outcome.
+// buffer. It only reads simulation state — the reclaim rate through
+// PeekThrashRate, since ThrashRate moves the meter's bucket grid — so
+// enabling it cannot perturb the simulated outcome. Its own events do
+// count in the engine's Dispatched total.
 func (sys *System) startCounterSampler() {
 	runq := sys.Eng.Obs().Gauge("sched.runqueue.depth")
-	sys.Eng.Every(counterSamplePeriod, func() bool {
+	sys.Eng.Every(CounterSamplePeriod, func() bool {
 		now := sys.Eng.Now()
 		sys.Trace.Count(now, trace.CatMM, "Sam", int64(sys.MM.AvailablePages()))
-		sys.Trace.Count(now, trace.CatMM, "reclaim-rate", int64(sys.MM.ThrashRate()))
+		sys.Trace.Count(now, trace.CatMM, "reclaim-rate", int64(sys.MM.PeekThrashRate()))
 		sys.Trace.Count(now, trace.CatFreezer, "frozen-apps", int64(sys.FrozenAppCount()))
 		sys.Trace.Count(now, trace.CatSched, "runqueue", runq.Value())
 		return true

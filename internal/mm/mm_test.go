@@ -521,6 +521,37 @@ func TestThrashMeterRate(t *testing.T) {
 	}
 }
 
+// PeekThrashRate must read the rate without moving the meter: after an
+// idle gap ThrashRate re-anchors the bucket grid at the caller's time,
+// so an observer calling it would shift every later bucket boundary.
+func TestPeekThrashRateLeavesMeter(t *testing.T) {
+	var meters [3]thrashMeter
+	var rates [3]float64
+	for i := range meters {
+		eng, m := newTestManager(26)
+		m.thrash.note(eng.Now(), m.cfg.ThrashWindow, 10)
+		eng.RunFor(3*m.cfg.ThrashWindow + 123*sim.Millisecond)
+		switch i {
+		case 1:
+			rates[i] = m.PeekThrashRate()
+		case 2:
+			rates[i] = m.ThrashRate()
+		}
+		eng.RunFor(777 * sim.Millisecond)
+		m.thrash.note(eng.Now(), m.cfg.ThrashWindow, 10)
+		meters[i] = m.thrash
+	}
+	if rates[1] != rates[2] {
+		t.Fatalf("PeekThrashRate %v, ThrashRate %v at the same instant", rates[1], rates[2])
+	}
+	if meters[1] != meters[0] {
+		t.Fatalf("PeekThrashRate moved the meter: %+v, untouched %+v", meters[1], meters[0])
+	}
+	if meters[2] == meters[0] {
+		t.Fatal("ThrashRate after an idle gap left the grid in place; the peek guards nothing")
+	}
+}
+
 func TestThrashStallDisabled(t *testing.T) {
 	_, m := newTestManager(25)
 	// ThrashCoupling is zero in the test config.

@@ -72,6 +72,15 @@ func (m *Manager) ThrashRate() float64 {
 	return m.thrash.rate(m.eng.Now(), m.cfg.ThrashWindow)
 }
 
+// PeekThrashRate reports what ThrashRate would, without touching the
+// meter. ThrashRate's idle fast-forward re-anchors the bucket grid at the
+// caller's time, so calling it is itself a simulation input; observers
+// that must not perturb the run (the trace counter sampler) rate a copy.
+func (m *Manager) PeekThrashRate() float64 {
+	meter := m.thrash
+	return meter.rate(m.eng.Now(), m.cfg.ThrashWindow)
+}
+
 // RefaultRate reports the recent refault rate in pages per second. The
 // low-memory killer's PSI-style trigger reads it: refault churn is the
 // memory-stall pressure lmkd reacts to, distinct from cold-start reclaim

@@ -42,3 +42,27 @@ func (t *Task) Execute(now sim.Time, budget sim.Time) (used sim.Time, blockedUnt
 	t.CPUTime += used
 	return used, 0
 }
+
+// PureQuanta reports how many consecutive quanta of budget t can run with
+// no effect beyond accounting: its current item has already run Setup and
+// keeps more than budget of work after each of them, so no Setup, OnDone,
+// Block or queue pop fires. It is zero when t has no current item or is
+// blocked, or when the next quantum starts or finishes an item.
+func (t *Task) PureQuanta(budget sim.Time) int64 {
+	w := t.cur
+	if w == nil || !w.setupDone || t.blocked || budget <= 0 || w.remaining <= budget {
+		return 0
+	}
+	return int64((w.remaining - 1) / budget)
+}
+
+// RunPure applies k quanta of budget that PureQuanta vouched for, exactly
+// as k Execute calls would: each consumes the full budget.
+func (t *Task) RunPure(k int64, budget sim.Time) {
+	if k > t.PureQuanta(budget) {
+		panic("proc: RunPure beyond the task's pure quanta")
+	}
+	run := sim.Time(k) * budget
+	t.cur.remaining -= run
+	t.CPUTime += run
+}

@@ -9,6 +9,8 @@
 package sched
 
 import (
+	"math"
+
 	"github.com/eurosys23/ice/internal/obs"
 	"github.com/eurosys23/ice/internal/proc"
 	"github.com/eurosys23/ice/internal/sim"
@@ -120,6 +122,10 @@ type Scheduler struct {
 
 	// scratch avoids per-tick allocation.
 	scratch []*proc.Task
+	// shares holds each runnable task's per-quantum charge while batch
+	// sizes and applies a run of pure quanta; batch runs only with at
+	// most cores runnable tasks, so its capacity of cores never grows.
+	shares []share
 	// inTick marks that a scheduling round is executing; Posts arriving
 	// from OnDone/Setup callbacks are recorded in posted so the end-of-round
 	// re-arm check can consider exactly the tasks that may have become
@@ -143,7 +149,7 @@ func New(eng *sim.Engine, cores int) *Scheduler {
 	if cores <= 0 {
 		panic("sched: non-positive core count")
 	}
-	s := &Scheduler{eng: eng, cores: cores, fgUID: -1}
+	s := &Scheduler{eng: eng, cores: cores, fgUID: -1, shares: make([]share, 0, cores)}
 	s.weight = func(t *proc.Task) int { return t.Weight }
 	s.speed = func(*proc.Task) float64 { return 1 }
 	s.speedDefault = true
@@ -317,23 +323,87 @@ func (s *Scheduler) classify(t *proc.Task) CPUClass {
 
 func (s *Scheduler) noteBusy(class CPUClass, used sim.Time) {
 	s.busy[class] += used
-	sec := int((s.eng.Now() - s.started) / sim.Second)
-	if sec < 0 {
-		sec = 0
-	}
+	sec := s.second(s.eng.Now())
+	s.busyPerSec[sec] += used
+}
+
+// second returns the BusyPerSecond index of a quantum starting at t,
+// growing the slice to hold it. Rounds never run before the last
+// ResetStats, so the index is never negative.
+func (s *Scheduler) second(t sim.Time) int {
+	sec := int((t - s.started) / sim.Second)
 	for len(s.busyPerSec) <= sec {
 		s.busyPerSec = append(s.busyPerSec, 0)
 	}
-	s.busyPerSec[sec] += used
+	return sec
 }
 
 // wakeupBonus places freshly runnable tasks slightly ahead of the pack,
 // approximating CFS's sleeper fairness.
 const wakeupBonus = int64(3 * sim.Millisecond)
 
-// tick runs one scheduling round: pick up to cores runnable tasks by
-// minimum virtual runtime, give each a quantum, and re-arm if anything is
-// still runnable.
+// share is what one quantum charges a task whose work item neither starts
+// nor finishes in it: the full work budget is consumed, occupying the core
+// for coreTime and advancing the task's virtual runtime by dv.
+type share struct {
+	budget, coreTime sim.Time
+	dv               int64
+	class            CPUClass
+}
+
+// speedOf returns t's execution speed under the installed policy.
+func (s *Scheduler) speedOf(t *proc.Task) float64 {
+	if s.speedDefault {
+		return 1
+	}
+	speed := s.speed(t)
+	if speed <= 0 {
+		speed = 1
+	}
+	return speed
+}
+
+// budgetAt is the work a task at speed completes in one quantum.
+func budgetAt(speed float64) sim.Time {
+	if speed == 1 {
+		// The common uniform-speed case stays in integer arithmetic.
+		return Quantum
+	}
+	b := sim.Time(float64(Quantum) * speed)
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+// charge returns the core time and the virtual-runtime increment for t
+// having done used work at speed. Core occupancy is the work done divided
+// by the speed: a slow task burns full quanta to make partial progress.
+func (s *Scheduler) charge(t *proc.Task, speed float64, used sim.Time) (coreTime sim.Time, dv int64) {
+	coreTime = used
+	if speed != 1 {
+		coreTime = sim.Time(float64(used) / speed)
+	}
+	if coreTime > Quantum {
+		coreTime = Quantum
+	}
+	w := s.weight(t)
+	if w <= 0 {
+		w = proc.DefaultWeight
+	}
+	if w == proc.DefaultWeight {
+		return coreTime, int64(coreTime)
+	}
+	return coreTime, int64(coreTime) * proc.DefaultWeight / int64(w)
+}
+
+// tick runs scheduling rounds, one per quantum. While the next round
+// would be the very next event the engine dispatches (nextAllowed ≤
+// Quiet), it runs it in place and counts the event it would have been
+// with Advance, instead of pushing and popping its own re-arm event; the
+// dispatch order, the clock and every event's seq are unchanged. When
+// another event comes first, or the RunUntil horizon ends, it re-arms
+// through the engine as usual.
 func (s *Scheduler) tick() {
 	now := s.eng.Now()
 
@@ -346,6 +416,25 @@ func (s *Scheduler) tick() {
 		s.eng.At(s.nextAllowed, s.tickFn)
 		return
 	}
+	for s.round(now) {
+		if s.tr == nil && len(s.scratch) <= s.cores && len(s.runq) == len(s.scratch) {
+			s.batch()
+		}
+		now = s.nextAllowed
+		if now > s.eng.Quiet() {
+			s.eng.At(now, s.tickFn)
+			return
+		}
+		s.eng.Advance(now, 1)
+	}
+	s.tickArmed = false
+}
+
+// round runs one scheduling round at now: pick up to cores runnable tasks
+// by minimum virtual runtime and give each a quantum. It reports whether
+// anything is still runnable, leaving this round's runnable set in
+// s.scratch.
+func (s *Scheduler) round(now sim.Time) bool {
 	s.nextAllowed = now + Quantum
 
 	// One pass filters the candidate queue down to the runnable set.
@@ -394,8 +483,7 @@ func (s *Scheduler) tick() {
 	s.runqueue.Set(int64(len(runnable)))
 
 	if len(runnable) == 0 {
-		s.tickArmed = false
-		return
+		return false
 	}
 	s.inTick = true
 
@@ -436,42 +524,11 @@ func (s *Scheduler) tick() {
 		runnable[i], runnable[min] = runnable[min], runnable[i]
 	}
 	for _, t := range runnable[:n] {
-		speed := 1.0
-		if !s.speedDefault {
-			speed = s.speed(t)
-			if speed <= 0 {
-				speed = 1
-			}
-		}
-		workBudget := Quantum
-		if speed != 1 {
-			// Only off-speed tasks need the float scaling; the common
-			// uniform-speed case stays in integer arithmetic.
-			workBudget = sim.Time(float64(Quantum) * speed)
-			if workBudget < 1 {
-				workBudget = 1
-			}
-		}
-		used, blockedUntil := t.Execute(now, workBudget)
+		speed := s.speedOf(t)
+		used, blockedUntil := t.Execute(now, budgetAt(speed))
 		if used > 0 {
-			// Core occupancy is the work done divided by the speed: a slow
-			// task burns full quanta to make partial progress.
-			coreTime := used
-			if speed != 1 {
-				coreTime = sim.Time(float64(used) / speed)
-			}
-			if coreTime > Quantum {
-				coreTime = Quantum
-			}
-			w := s.weight(t)
-			if w <= 0 {
-				w = proc.DefaultWeight
-			}
-			if w == proc.DefaultWeight {
-				t.VRuntime += int64(coreTime)
-			} else {
-				t.VRuntime += int64(coreTime) * proc.DefaultWeight / int64(w)
-			}
+			coreTime, dv := s.charge(t, speed, used)
+			t.VRuntime += dv
 			class := s.classify(t)
 			s.noteBusy(class, coreTime)
 			s.quanta[class].Inc()
@@ -510,9 +567,85 @@ func (s *Scheduler) tick() {
 		s.posted[i] = nil
 	}
 	s.posted = s.posted[:0]
-	if rearm {
-		s.eng.At(s.nextAllowed, s.tickFn)
+	return rearm
+}
+
+// batch runs, in closed form, the rounds after the one just completed
+// that are pure: every runnable task runs in each (there are at most
+// cores of them), no task's work item starts or finishes, and no other
+// event comes first. tick calls it only when the round just run left
+// exactly its own runnable set on the candidate queue (nothing was posted
+// to a waiting task) and no trace buffer wants a span per quantum.
+//
+// Such rounds have no effect beyond accounting, and each charges every
+// task the same share: speed, weight and class depend only on the task
+// and the foreground UID, which only events change, so evaluating them
+// once here is exact. Nothing can join the runnable set either — every
+// runnability gain is an event or a Post, and pure rounds make neither.
+//
+// The vruntime floor clamp cannot fire in these rounds. The round just
+// run raised every runnable task to at least minV−wakeupBonus, and
+// vruntimes only grow, so each later round either keeps minV (same
+// floor, already met) or raises it to the current minimum (a floor below
+// every task). minV thus ends as the last batched round's minimum, if
+// that is higher.
+func (s *Scheduler) batch() {
+	now := s.eng.Now()
+	first := s.nextAllowed
+	quiet := s.eng.Quiet()
+	if first > quiet {
 		return
 	}
-	s.tickArmed = false
+	k := int64((quiet-first)/Quantum) + 1
+	shares := s.shares[:0]
+	for _, t := range s.scratch {
+		if !t.Runnable(now) {
+			return
+		}
+		speed := s.speedOf(t)
+		sh := share{budget: budgetAt(speed), class: s.classify(t)}
+		if p := t.PureQuanta(sh.budget); p < k {
+			if p == 0 {
+				return
+			}
+			k = p
+		}
+		sh.coreTime, sh.dv = s.charge(t, speed, sh.budget)
+		shares = append(shares, sh)
+	}
+
+	var perRound sim.Time
+	lastMin := int64(math.MaxInt64)
+	for i, t := range s.scratch {
+		sh := shares[i]
+		t.RunPure(k, sh.budget)
+		if v := t.VRuntime + (k-1)*sh.dv; v < lastMin {
+			lastMin = v
+		}
+		t.VRuntime += k * sh.dv
+		s.busy[sh.class] += sim.Time(k) * sh.coreTime
+		s.quanta[sh.class].Add(uint64(k))
+		perRound += sh.coreTime
+	}
+	if lastMin > s.minV {
+		s.minV = lastMin
+	}
+
+	// BusyPerSecond: every batched round adds perRound to the second it
+	// starts in.
+	last := first + sim.Time(k-1)*Quantum
+	for t, left := first, k; left > 0; {
+		sec := s.second(t)
+		end := s.started + sim.Time(sec+1)*sim.Second
+		n := int64((end - t + Quantum - 1) / Quantum)
+		if n > left {
+			n = left
+		}
+		s.busyPerSec[sec] += sim.Time(n) * perRound
+		t += sim.Time(n) * Quantum
+		left -= n
+	}
+
+	s.eng.Advance(last, uint64(k))
+	s.nextAllowed = last + Quantum
 }

@@ -83,6 +83,10 @@ type Engine struct {
 	obs  *obs.Registry
 
 	dispatched uint64
+	// horizon is the bound of the innermost RunUntil in progress; running
+	// reports whether one is. Quiet reads both.
+	horizon Time
+	running bool
 }
 
 // NewEngine returns an engine at time zero with a PRNG seeded by seed and
@@ -140,8 +144,18 @@ func (e *Engine) Every(d Time, fn func() bool) {
 }
 
 // Step dispatches the next pending event, advancing the clock to its time.
-// It reports whether an event was dispatched.
+// It reports whether an event was dispatched. Callbacks run by Step see
+// no RunUntil horizon (Quiet is below Now), even when Step is called from
+// inside a RunUntil callback.
 func (e *Engine) Step() bool {
+	running := e.running
+	e.running = false
+	ok := e.step()
+	e.running = running
+	return ok
+}
+
+func (e *Engine) step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -154,14 +168,51 @@ func (e *Engine) Step() bool {
 
 // RunUntil dispatches events until the clock reaches t (events scheduled
 // exactly at t still run). Pending events beyond t remain queued and the
-// clock lands exactly on t.
+// clock lands exactly on t. Nested calls (from inside a callback) save and
+// restore the enclosing horizon.
 func (e *Engine) RunUntil(t Time) {
+	defer func(horizon Time, running bool) { e.horizon, e.running = horizon, running }(e.horizon, e.running)
+	e.horizon, e.running = t, true
 	for len(e.heap) > 0 && e.heap[0].when <= t {
-		e.Step()
+		e.step()
 	}
 	if e.now < t {
 		e.now = t
 	}
+}
+
+// Quiet returns the last time through which an event scheduled now would
+// be the next one dispatched: the earlier of the RunUntil horizon and one
+// microsecond before the earliest pending event. An event pushed for any
+// time in [Now, Quiet()] is strictly earlier than everything queued, so
+// it pops first; at the earliest pending time it would carry the highest
+// seq and lose the tie, hence the minus one. Outside RunUntil (under Step
+// or Drain) it is below Now, so no caller may run ahead of the event loop
+// there.
+func (e *Engine) Quiet() Time {
+	if !e.running {
+		return e.now - 1
+	}
+	q := e.horizon
+	if len(e.heap) > 0 && e.heap[0].when-1 < q {
+		q = e.heap[0].when - 1
+	}
+	return q
+}
+
+// Advance stands in for n events the caller would otherwise have
+// scheduled in [Now, t] and dispatched back to back: it moves the clock
+// to t and counts the n events in both Dispatched and the scheduling
+// sequence, so every later event keeps exactly the seq (and therefore
+// the tie order) it would have had. t must lie in [Now, Quiet()]; the
+// caller does the n events' work itself.
+func (e *Engine) Advance(t Time, n uint64) {
+	if t < e.now || t > e.Quiet() {
+		panic(fmt.Sprintf("sim: Advance to %v outside [now %v, quiet %v]", t, e.now, e.Quiet()))
+	}
+	e.now = t
+	e.dispatched += n
+	e.seq += n
 }
 
 // RunFor advances the simulation by d.

@@ -212,6 +212,13 @@ func NewScenarioSystem(cfg ScenarioConfig) (*android.System, string) {
 // RunScenario executes one full scenario: cache the background condition,
 // launch the target app, settle, then measure Duration of rendering.
 func RunScenario(cfg ScenarioConfig) ScenarioResult {
+	res, _ := runScenario(cfg)
+	return res
+}
+
+// runScenario is RunScenario that also hands back the simulated device,
+// for tests that inspect the engine after the run.
+func runScenario(cfg ScenarioConfig) (ScenarioResult, *android.System) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 60 * sim.Second
 	}
@@ -266,7 +273,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	if ice, ok := cfg.Scheme.(*policy.Ice); ok && ice.Framework != nil {
 		res.FrozenApps = ice.Framework.Stats().UniqueFrozenUID
 	}
-	return res
+	return res, sys
 }
 
 // Scenarios lists the four scenario IDs in paper order.
