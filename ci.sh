@@ -2,7 +2,8 @@
 # ci.sh — the repo's tier-1 gate plus hygiene checks:
 #   gofmt (no unformatted files), go vet, build, the full test suite
 #   under the race detector (the harness worker pool must stay
-#   race-free at any -workers setting), a flake guard re-running the
+#   race-free at any -workers setting), a 15-second fuzzing search of
+#   the mm operation tapes (FuzzMemoryOps), a flake guard re-running the
 #   concurrency-heavy packages, a one-iteration benchmark smoke pass
 #   (benchmarks must at least run; their cells/sec, allocs/cell, bytes/cell and
 #   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
@@ -41,6 +42,10 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# The run above only replays FuzzMemoryOps's seed tapes; give the fuzzer
+# a short open-ended search for tapes that break the accounting or the
+# slot/LRU layout invariants.
+go test -run '^$' -fuzz '^FuzzMemoryOps$' -fuzztime 15s ./internal/mm
 
 # Flake guard: the packages with real concurrency (the harness worker
 # pool, the job manager and its sharding dispatcher) must pass twice in

@@ -23,7 +23,7 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 	// page.
 	var evicted int
 	for _, id := range ids {
-		if m.arena[id].state == Evicted {
+		if m.slots[id].state() == Evicted {
 			evicted++
 		}
 	}
@@ -31,15 +31,16 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 		cost.Add(m.chargeAlloc(evicted))
 	}
 	for _, id := range ids {
-		p := &m.arena[id]
-		switch p.state {
+		s := &m.slots[id]
+		switch s.state() {
 		case Dead:
 			continue
 		case Resident:
-			if p.referenced && (p.list == lInactiveAnon || p.list == lInactiveFile) {
+			p := &m.arena[id]
+			if l := s.list(); s.referenced() && (l == lInactiveAnon || l == lInactiveFile) {
 				m.addToLRU(id, activeList(p.class))
 			}
-			p.referenced = true
+			s.setReferenced(true)
 			if p.heat < heatMax {
 				p.heat++
 			}
@@ -104,8 +105,9 @@ func (m *Manager) refault(id PageID, fileReads *int) Cost {
 
 	distance := m.evictClock - p.evictEpoch
 	m.distances.note(distance)
-	p.state = Resident
-	p.referenced = true
+	s := &m.slots[id]
+	s.setState(Resident)
+	s.setReferenced(true)
 	m.resident++
 	m.addToLRU(id, inactiveList(p.class))
 

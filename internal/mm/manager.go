@@ -191,7 +191,10 @@ type Manager struct {
 	z    *zram.Zram
 	disk *storage.Device
 
-	arena     []page
+	arena []page
+	// slots is the dense per-page state/list/referenced byte, indexed
+	// like arena and grown with it (see slot).
+	slots     []slot
 	freeSlots []PageID
 	lists     [numLists]lruList
 
@@ -264,6 +267,7 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 		panic(fmt.Sprintf("mm: watermarks must satisfy min<low<high, got %d/%d/%d",
 			cfg.MinWatermark, cfg.LowWatermark, cfg.HighWatermark))
 	}
+	capacity := cfg.TotalPages + z.Config().CapacityPages
 	m := &Manager{
 		eng:       eng,
 		rng:       eng.Rand().Split(),
@@ -275,13 +279,15 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 		deadInPID: make(map[int]int),
 		perUID:    make(map[int]*Counter),
 		fgUID:     -1,
-		// The arena is allocated once, with a slot per physical page plus
-		// one per page the ZRAM partition can hold, instead of growing by
-		// append (and leaving every outgrown copy as garbage) while a cell
-		// fills its device. A cell whose evicted file pages and
-		// exit-pending slots exceed that still grows by append. Slot IDs
-		// are assigned exactly as before, so output is unchanged.
-		arena: make([]page, 0, cfg.TotalPages+z.Config().CapacityPages),
+		// The arena and its probe bytes are allocated once, with a slot
+		// per physical page plus one per page the ZRAM partition can
+		// hold, instead of growing by append (and leaving every outgrown
+		// copy as garbage) while a cell fills its device. A cell whose
+		// evicted file pages and exit-pending slots exceed that still
+		// grows by append. Slot IDs are assigned exactly as before, so
+		// output is unchanged.
+		arena: make([]page, 0, capacity),
+		slots: make([]slot, 0, capacity),
 	}
 	for i := range m.lists {
 		m.lists[i] = newLRUList()
@@ -439,6 +445,7 @@ func (m *Manager) allocSlot() PageID {
 		return id
 	}
 	m.arena = append(m.arena, page{prev: nilPage, next: nilPage})
+	m.slots = append(m.slots, 0)
 	return PageID(len(m.arena) - 1)
 }
 
@@ -527,12 +534,12 @@ func (m *Manager) mapPage(pid, uid int, class Class) PageID {
 		pid:    int32(pid),
 		uid:    int32(uid),
 		class:  class,
-		state:  Resident,
-		list:   lNone,
 		prev:   nilPage,
 		next:   nilPage,
 		mapSeq: m.mapClock,
 	}
+	// Resident and unreferenced; addToLRU below links it.
+	m.slots[id] = slot(Resident) | slot(lNone)<<slotListShift
 	if class == File {
 		p.dirty = m.rng.Bool(m.cfg.DirtyFileFraction)
 	}
@@ -596,11 +603,11 @@ func (m *Manager) chargeAlloc(n int) Cost {
 
 // addToLRU places a resident page on the given list (MRU end).
 func (m *Manager) addToLRU(id PageID, l listID) {
-	p := &m.arena[id]
-	if p.list != lNone {
-		m.lists[p.list].remove(m.arena, id)
+	s := &m.slots[id]
+	if old := s.list(); old != lNone {
+		m.lists[old].remove(m.arena, id)
 	}
-	p.list = l
+	s.setList(l)
 	m.lists[l].pushFront(m.arena, id)
 }
 
@@ -613,12 +620,11 @@ func (m *Manager) FreePagesOf(ids []PageID) {
 }
 
 func (m *Manager) freePage(id PageID) {
-	p := &m.arena[id]
-	if p.state == Dead {
+	if m.slots[id].state() == Dead {
 		return
 	}
 	m.killPage(id)
-	pid := int(p.pid)
+	pid := int(m.arena[id].pid)
 	m.deadInPID[pid]++
 	// Amortised index compaction: once tombstones outnumber live entries,
 	// sweep them out (order-preserving) so per-process scans and the index
@@ -641,7 +647,7 @@ func (m *Manager) compactPID(pid int) {
 	dead := m.deadByPID[pid]
 	live := ids[:0]
 	for _, id := range ids {
-		if m.arena[id].state == Dead {
+		if m.slots[id].state() == Dead {
 			dead = append(dead, id)
 		} else {
 			live = append(live, id)
@@ -657,22 +663,22 @@ func (m *Manager) compactPID(pid int) {
 // earlier would change how fast the arena grows, and with it the page that
 // each of randomVictim's arena draws lands on.
 func (m *Manager) killPage(id PageID) {
-	p := &m.arena[id]
-	switch p.state {
+	s := &m.slots[id]
+	switch s.state() {
 	case Resident:
-		if p.list != lNone {
-			m.lists[p.list].remove(m.arena, id)
-			p.list = lNone
+		if l := s.list(); l != lNone {
+			m.lists[l].remove(m.arena, id)
+			s.setList(lNone)
 		}
 		m.resident--
 	case Evicted:
-		if p.class.Anon() {
+		if p := &m.arena[id]; p.class.Anon() {
 			m.z.Drop(p.zref, zram.PageInfo{Java: p.class == AnonJava})
 		}
 	case Dead:
 		return
 	}
-	p.state = Dead
+	s.setState(Dead)
 }
 
 // ExitProcess tears down every page of pid (LMK kill or app removal).
@@ -703,7 +709,7 @@ func (m *Manager) PagesOf(pid int) []PageID { return m.byPID[pid] }
 func (m *Manager) ResidentOf(pid int) int {
 	var n int
 	for _, id := range m.byPID[pid] {
-		if m.arena[id].state == Resident {
+		if m.slots[id].state() == Resident {
 			n++
 		}
 	}
@@ -714,7 +720,7 @@ func (m *Manager) ResidentOf(pid int) int {
 func (m *Manager) EvictedOf(pid int) int {
 	var n int
 	for _, id := range m.byPID[pid] {
-		if m.arena[id].state == Evicted {
+		if m.slots[id].state() == Evicted {
 			n++
 		}
 	}
@@ -727,8 +733,8 @@ func (m *Manager) EvictedOf(pid int) int {
 func (m *Manager) HeatOf(pid int) int {
 	var h int
 	for _, id := range m.byPID[pid] {
-		if p := &m.arena[id]; p.state == Resident {
-			h += int(p.heat)
+		if m.slots[id].state() == Resident {
+			h += int(m.arena[id].heat)
 		}
 	}
 	return h
@@ -763,14 +769,14 @@ type PageInfo struct {
 
 // Info returns a snapshot of page id.
 func (m *Manager) Info(id PageID) PageInfo {
-	p := &m.arena[id]
+	p, s := &m.arena[id], m.slots[id]
 	return PageInfo{
 		PID:        int(p.pid),
 		UID:        int(p.uid),
 		Class:      p.class,
-		State:      p.state,
+		State:      s.state(),
 		Dirty:      p.dirty,
-		Referenced: p.referenced,
+		Referenced: s.referenced(),
 		Heat:       p.heat,
 	}
 }

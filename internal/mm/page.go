@@ -76,21 +76,18 @@ type PageID int32
 
 const nilPage PageID = -1
 
-// page is one simulated page. The struct is kept small because scenarios
-// allocate hundreds of thousands of them.
+// page is one simulated page. The struct is kept small (40 bytes)
+// because scenarios allocate hundreds of thousands of them. Its residency
+// state, LRU list and referenced bit live in the manager's dense slot
+// array (see slot).
 type page struct {
 	pid   int32
 	uid   int32
 	class Class
-	state State
 	// dirty marks file pages that must be written back on reclaim.
 	dirty bool
-	// referenced is the LRU second-chance bit set on access.
-	referenced bool
-	// list is which LRU list the page is on (lNone when not resident).
-	list listID
-	prev PageID
-	next PageID
+	prev  PageID
+	next  PageID
 	// heat is the page's hotness: a saturating access counter bumped on
 	// every touch and halved when ageing demotes the page to an inactive
 	// list. Policies read it through the swap boundary (zram.PageInfo)
@@ -117,6 +114,37 @@ type page struct {
 // heatMax saturates the per-page hotness counter.
 const heatMax = 0xff
 
+// slot packs the three page fields the reclaim paths test on every
+// candidate into one byte: the residency State (bits 0-1), the LRU list
+// the page is on (bits 2-4, lNone when not resident) and the
+// second-chance referenced bit set on access (bit 5). Manager.slots holds
+// one per arena slot, indexed by PageID, and is the only copy of these
+// fields. randomVictim's random draws then land on a byte in a dense
+// array (64 slots per cache line) instead of a whole page struct, and
+// read the page itself only for the uid of a referenced candidate.
+type slot uint8
+
+const (
+	slotStateMask  slot = 0x03
+	slotListShift       = 2
+	slotListMask   slot = 0x07 << slotListShift
+	slotReferenced slot = 1 << 5
+)
+
+func (s slot) state() State       { return State(s & slotStateMask) }
+func (s slot) list() listID       { return listID((s & slotListMask) >> slotListShift) }
+func (s slot) referenced() bool   { return s&slotReferenced != 0 }
+func (s *slot) setState(st State) { *s = *s&^slotStateMask | slot(st) }
+func (s *slot) setList(l listID)  { *s = *s&^slotListMask | slot(l)<<slotListShift }
+
+func (s *slot) setReferenced(r bool) {
+	if r {
+		*s |= slotReferenced
+	} else {
+		*s &^= slotReferenced
+	}
+}
+
 // listID identifies an LRU list.
 type listID uint8
 
@@ -126,7 +154,8 @@ const (
 	lActiveFile
 	lInactiveFile
 	numLists
-	lNone listID = 0xff
+	// lNone marks a page on no list; it must fit slot's 3-bit list field.
+	lNone = numLists
 )
 
 func (l listID) String() string {

@@ -50,11 +50,10 @@ func (m *Manager) demoteIfNeeded(c Class, want int) sim.Time {
 		if id == nilPage {
 			break
 		}
-		p := &m.arena[id]
-		p.referenced = false
+		m.slots[id].setReferenced(false)
 		// Ageing halves hotness: a page that stops being touched cools
 		// exponentially (the signal Ariadne's codec choice reads).
-		p.heat >>= 1
+		m.arena[id].heat >>= 1
 		m.addToLRU(id, inact)
 		cpu += m.cfg.ScanCost
 	}
@@ -63,25 +62,27 @@ func (m *Manager) demoteIfNeeded(c Class, want int) sim.Time {
 
 // randomVictim samples the page arena for an evictable page: resident, on
 // an inactive list, not recently referenced. It fails after a few misses
-// (the caller falls back to scanning again).
+// (the caller falls back to scanning again). Each draw reads one byte of
+// the dense slot array; the page itself is read only for the uid of a
+// referenced candidate under an aggressive policy.
 func (m *Manager) randomVictim() (PageID, bool) {
-	if len(m.arena) == 0 {
+	if len(m.slots) == 0 {
 		return nilPage, false
 	}
 	for try := 0; try < 16; try++ {
-		id := PageID(m.rng.Intn(len(m.arena)))
-		p := &m.arena[id]
-		if p.state != Resident {
+		id := PageID(m.rng.Intn(len(m.slots)))
+		s := m.slots[id]
+		if s.state() != Resident {
 			continue
 		}
-		if p.referenced {
+		if s.referenced() {
 			// Aggressive policies (Acclaim's FAE) sacrifice even active
 			// background pages.
-			if m.aggressive == nil || !m.aggressive.EvictReferenced(int(p.uid), m.fgUID) {
+			if m.aggressive == nil || !m.aggressive.EvictReferenced(int(m.arena[id].uid), m.fgUID) {
 				continue
 			}
 		}
-		if p.list == lInactiveAnon || p.list == lInactiveFile {
+		if l := s.list(); l == lInactiveAnon || l == lInactiveFile {
 			return id, true
 		}
 	}
@@ -132,7 +133,7 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 				res.scanned++
 				continue
 			}
-			list = m.arena[id].list
+			list = m.slots[id].list()
 		} else {
 			var ok bool
 			list, ok = m.pickScanList()
@@ -144,11 +145,11 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 				break
 			}
 		}
-		p := &m.arena[id]
+		p, s := &m.arena[id], &m.slots[id]
 		res.scanned++
 		res.cpu += m.cfg.ScanCost
 
-		if p.referenced {
+		if s.referenced() {
 			evictAnyway := false
 			if m.aggressive != nil && m.aggressive.EvictReferenced(int(p.uid), m.fgUID) {
 				evictAnyway = true
@@ -156,11 +157,11 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 			if !evictAnyway {
 				// Second chance: recently used pages are activated instead
 				// of evicted.
-				p.referenced = false
+				s.setReferenced(false)
 				m.addToLRU(id, activeList(p.class))
 				continue
 			}
-			p.referenced = false
+			s.setReferenced(false)
 		}
 		if m.policy != nil && m.policy.Protect(int(p.uid), p.class, m.fgUID) {
 			// Policy says hands off (e.g. Acclaim protecting FG pages):
@@ -189,8 +190,8 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 		}
 		// Evict: record the shadow entry and drop residency.
 		m.lists[list].remove(m.arena, id)
-		p.list = lNone
-		p.state = Evicted
+		s.setList(lNone)
+		s.setState(Evicted)
 		m.evictClock++
 		p.evictEpoch = m.evictClock
 		m.resident--
@@ -288,8 +289,8 @@ func (m *Manager) directReclaim(target int) Cost {
 func (m *Manager) ReclaimProcess(pid int) int {
 	var n, writeback int
 	for _, id := range m.byPID[pid] {
-		p := &m.arena[id]
-		if p.state != Resident {
+		p, s := &m.arena[id], &m.slots[id]
+		if s.state() != Resident {
 			continue
 		}
 		if p.class.Anon() {
@@ -303,12 +304,12 @@ func (m *Manager) ReclaimProcess(pid int) int {
 			writeback++
 			p.dirty = false
 		}
-		if p.list != lNone {
-			m.lists[p.list].remove(m.arena, id)
-			p.list = lNone
+		if l := s.list(); l != lNone {
+			m.lists[l].remove(m.arena, id)
+			s.setList(lNone)
 		}
-		p.state = Evicted
-		p.referenced = false
+		s.setState(Evicted)
+		s.setReferenced(false)
 		m.evictClock++
 		p.evictEpoch = m.evictClock
 		m.resident--
@@ -318,6 +319,7 @@ func (m *Manager) ReclaimProcess(pid int) int {
 	if writeback > 0 {
 		m.disk.Write(writeback, nil)
 		m.stats.WritebackPages += uint64(writeback)
+		m.ins.writebackPages.Add(uint64(writeback))
 	}
 	m.fireSwapFull()
 	return n

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -101,7 +102,7 @@ func TestRandomVictimSkipsReferencedByDefault(t *testing.T) {
 	ids, _ := m.Map(1, 10001, AnonNative, 50)
 	m.Touch(1, ids) // all referenced
 	if id, ok := m.randomVictim(); ok {
-		if m.arena[id].referenced {
+		if m.slots[id].referenced() {
 			t.Fatal("randomVictim returned a referenced page without a policy")
 		}
 	}
@@ -196,5 +197,108 @@ func TestManagerDistanceTracking(t *testing.T) {
 	m.ResetStats()
 	if m.RefaultDistances().Count != 0 {
 		t.Fatal("histogram survived reset")
+	}
+}
+
+// victimTape is a fixed operation tape (see applyOp) that leaves the
+// arena with a mix of Resident, Evicted and Dead slots, some of them
+// recycled after an exit. Operations are drawn with fixed weights, mostly
+// maps, touches and reclaim, so the manager runs under pressure.
+func victimTape() []byte {
+	// The opcodes of each operation: op%6 names the operation and op%4
+	// the process, pid 1 or 3.
+	kinds := [][]byte{
+		{0, 6},  // map
+		{2, 8},  // touch
+		{3},     // reclaimPages
+		{4, 10}, // exit
+	}
+	tape := make([]byte, 0, 1200)
+	x := uint32(2463534242)
+	next := func() uint32 {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		return x
+	}
+	for len(tape) < cap(tape) {
+		r := next()
+		var k []byte
+		switch w := r % 100; {
+		case w < 45:
+			k = kinds[0]
+		case w < 70:
+			k = kinds[1]
+		case w < 95:
+			k = kinds[2]
+		default:
+			k = kinds[3]
+		}
+		tape = append(tape, k[(r>>8)%uint32(len(k))], byte(r>>16))
+	}
+	return tape
+}
+
+// victimSequence replays victimTape and then draws n victims, first with
+// plain LRU and then under an aggressive policy; a miss reads nilPage.
+func victimSequence(n int) []PageID {
+	_, m := newTestManager(41)
+	pages := map[int][]PageID{}
+	tape := victimTape()
+	for i := 0; i+1 < len(tape); i += 2 {
+		applyOp(m, pages, tape[i], int(tape[i+1]))
+	}
+	m.SetForegroundUID(10001)
+	var seq []PageID
+	for i := 0; i < 2*n; i++ {
+		if i == n {
+			m.SetEvictionPolicy(aggressiveAll{})
+		}
+		id, ok := m.randomVictim()
+		if !ok {
+			id = nilPage
+		}
+		seq = append(seq, id)
+	}
+	return seq
+}
+
+// TestRandomVictimSequence pins the memcg-style victim probe to the
+// exact draws it made when the probe's residency, list and reference bits
+// still lived inside the page struct: same RNG consumption, same slot
+// IDs, under plain LRU (first 48) and an aggressive policy (last 48).
+func TestRandomVictimSequence(t *testing.T) {
+	want := []PageID{
+		853, 2198, 1176, 1107, 817, 1070, 2185, 2070, 1815, 2305, 790, 962,
+		1244, 849, 1062, 2357, 2120, 1846, 2311, 1617, 1855, 907, 2325, 2325,
+		813, 1076, 1108, 1001, 2108, 1083, 1015, 1343, 1301, 1081, 2286, 1834,
+		1279, 1148, 831, 2337, 1809, 2159, 1185, 828, 2187, 910, 2108, 808,
+		1968, 1095, 1349, 1786, 2335, 1302, 896, 846, 2307, 2022, 1925, 1113,
+		1006, 1209, 927, 992, 2066, 1051, 2355, 1212, 1355, 1228, 1615, 1231,
+		2309, 1066, 1161, 2195, 2066, 2146, 2180, 1071, 1085, 812, 1849, 806,
+		802, 1008, 2044, 1831, 1101, 1590, 1786, 1935, 2316, 1223, 2294, 960,
+	}
+	if got := victimSequence(len(want) / 2); !slices.Equal(got, want) {
+		t.Fatalf("victim sequence changed\ngot  %v\nwant %v", got, want)
+	}
+}
+
+// TestReclaimProcessCountsWriteback checks that per-process reclaim
+// reports its dirty-page writeback to the mm.writeback.pages instrument
+// as well as to Stats, as the shared reclaim engine does.
+func TestReclaimProcessCountsWriteback(t *testing.T) {
+	eng, m := newTestManager(43)
+	m.cfg.DirtyFileFraction = 1
+	m.Map(5, 10005, File, 40)
+	m.Map(5, 10005, AnonJava, 10)
+	if n := m.ReclaimProcess(5); n != 50 {
+		t.Fatalf("ReclaimProcess evicted %d pages, want 50", n)
+	}
+	want := m.Stats().WritebackPages
+	if want != 40 {
+		t.Fatalf("Stats().WritebackPages = %d, want 40", want)
+	}
+	if got := eng.Obs().Counter("mm.writeback.pages").Value(); got != want {
+		t.Fatalf("mm.writeback.pages = %d, Stats().WritebackPages = %d", got, want)
 	}
 }
