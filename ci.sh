@@ -2,33 +2,35 @@
 # ci.sh — the repo's tier-1 gate plus hygiene checks:
 #   gofmt (no unformatted files), go vet, build, the full test suite
 #   under the race detector (the harness worker pool must stay
-#   race-free at any -workers setting), a 15-second fuzzing search of
-#   the mm operation tapes (FuzzMemoryOps), a flake guard re-running the
-#   concurrency-heavy packages, a one-iteration benchmark smoke pass
-#   (benchmarks must at least run; their cells/sec, allocs/cell, bytes/cell and
-#   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
-#   n derived from the highest committed snapshot, no hand edit per
-#   PR — and each benchmark's cells/sec is compared against the
-#   previous PR's snapshot: a >10% regression fails the gate), a
-#   golden-file check on the Perfetto trace exporter, the scheme
+#   race-free at any -workers setting), short fuzzing searches of the
+#   mm operation tapes (FuzzMemoryOps) and of the exposition parser the
+#   fleet scrape runs on network bytes (FuzzParseProm), a flake guard
+#   re-running the concurrency-heavy packages, a one-iteration smoke
+#   run of the per-layer benchmarks, a benchmark gate (an A/B of the
+#   root benchmarks against the parent commit on this host: each
+#   benchmark's median cells/sec over 20 alternated runs must stay
+#   within 10% of the parent's, and the change's medians are written
+#   to BENCH_<n>.json, n derived from the highest committed snapshot),
+#   a golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), an icesimd smoke test (boot with a state dir,
 #   health check, one cached job round-trip, the Prometheus exposition
-#   on /metrics in both negotiated forms, SIGTERM drain, then a
-#   restart on the same state dir that must serve the job
-#   byte-identical from the persistent result store), a multi-node
-#   smoke test (coordinator + two workers steal a job's chunks and
-#   must match the single-node bytes, including after one worker is
-#   SIGKILLed mid-rotation, with the chunk requeued; a worker booted
-#   AFTER the coordinator must join at runtime and lease chunks from
-#   an already-running job; a fresh coordinator submitting a fleet-warm
-#   spec must answer from a peer's cache with zero locally simulated
-#   cells; /fleet/metrics must carry every peer's series under peer
-#   labels and flip the dead worker's ice_peer_up gauge to 0), and an
-#   auth smoke test (a token-file daemon must 401 unauthenticated
-#   submits, round-trip an authenticated job, and 429 a submit that
-#   overruns the principal's max-queued quota — while health and
-#   metrics stay open).
+#   on /metrics, SIGTERM drain, then a restart on the same state dir
+#   that must serve the job byte-identical from the persistent result
+#   store), a multi-node smoke test (coordinator + two workers steal a
+#   job's chunks and must match the single-node bytes, including after
+#   one worker is SIGKILLed mid-rotation, with the chunk requeued; a
+#   worker booted AFTER the coordinator must join at runtime and lease
+#   chunks from an already-running job; a fresh coordinator submitting
+#   a fleet-warm spec must answer from a peer's cache with zero locally
+#   simulated cells; /fleet/metrics must carry every peer's series
+#   under peer labels and flip the dead worker's ice_peer_up gauge to
+#   0), and an auth smoke test (a token-file daemon must 401
+#   unauthenticated submits, round-trip an authenticated job, and 429 a
+#   submit that overruns the principal's max-queued quota — while
+#   health and metrics stay open). Every smoke reads the daemons'
+#   instruments from GET /metrics, which serves only the Prometheus
+#   text exposition, through one helper, prom_value.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -46,6 +48,11 @@ go test -race ./...
 # a short open-ended search for tapes that break the accounting or the
 # slot/LRU layout invariants.
 go test -run '^$' -fuzz '^FuzzMemoryOps$' -fuzztime 15s ./internal/mm
+# The fleet scrape parses every peer's /metrics body with obs.ParseProm:
+# search for input that panics it or does not survive a re-render. Its
+# seeds are whole expositions, so an interesting input takes long to
+# minimise; a 1 s cap keeps the search searching.
+go test -run '^$' -fuzz '^FuzzParseProm$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs
 
 # Flake guard: the packages with real concurrency (the harness worker
 # pool, the job manager and its sharding dispatcher) must pass twice in
@@ -57,71 +64,120 @@ go test -race -count=2 -timeout 20m ./internal/harness/ ./internal/service/
 # size and the scheduler's interleavings.
 go test -race -count=2 -cpu 1,4 ./internal/harness/
 
-# Benchmarks stay runnable: one iteration each, no timing claims — and
-# their cells/sec + allocs/cell + bytes/cell + per-cell latency percentile metrics
-# are snapshotted into BENCH_<n>.json so the perf trajectory the
-# ROADMAP asks for accumulates one file per PR. The PR number is
-# derived from the highest BENCH snapshot already committed (so a
-# re-run never bumps it), and each benchmark's cells/sec is compared
-# against that previous snapshot: a drop of more than 10% fails the
-# gate, so a hot-path regression can't land silently. The 1x runs are
-# noisy; 10% is wide enough that only a real regression (not
-# scheduling jitter) trips it.
+# The per-layer micro-benchmarks stay runnable: one iteration each, no
+# timing claims.
+go test -run '^$' -bench . -benchtime 1x ./internal/...
+
+# Bench gate: an A/B of the root benchmarks against the parent commit,
+# on this host, in this run, so it judges the code and not the machine.
+# The parent is HEAD when tracked files differ from it, else HEAD^1 (a
+# CI checkout of a commit); BENCH_*.json is left out of that test since
+# this gate rewrites it. Both sides are `go test -c` binaries, and each
+# benchmark runs one iteration on each side back to back, 20 times
+# (about 4 minutes on 2 vCPUs). A single iteration spreads 7-18% on a
+# shared VM, so fewer runs let an unchanged tree fail by chance. Per
+# benchmark, the change's median cells/sec must be at least 0.9x the
+# parent's; q1-q3 of both sides are printed beside the medians. The
+# change's medians are snapshotted into BENCH_<n>.json, the perf
+# trajectory record: n is one past the highest committed snapshot, so a
+# re-run never bumps it.
+benchroot=.bench_build
+if git diff --quiet HEAD -- . ':(exclude)BENCH_*.json'; then
+    benchbase=HEAD^1
+else
+    benchbase=HEAD
+fi
+git rev-parse -q --verify "$benchbase^{commit}" >/dev/null \
+    || { echo "bench gate: no parent commit $benchbase (a shallow clone needs fetch-depth 2)" >&2; exit 1; }
+rm -rf "$benchroot/parent"
+mkdir -p "$benchroot/parent"
+git archive "$benchbase" | tar -x -C "$benchroot/parent"
+go test -c -o "$benchroot/new.test" .
+(cd "$benchroot/parent" && go test -c -o ../parent.test .)
+rm -rf "$benchroot/parent"
+benchrows="$benchroot/rows"
+: >"$benchrows"
+# bench_rows SIDE POS — turn `go test -bench` output into "side position
+# bench metric value" rows, one per reported metric.
+bench_rows() {
+    awk -v side="$1" -v pos="$2" '/^Benchmark/ {
+        name = $1; sub(/-[0-9]+$/, "", name)
+        for (i = 3; i < NF; i += 2) print side, pos, name, $(i+1), $i
+    }'
+}
+# bench_one SIDE POS NAME — one iteration of one benchmark on one side.
+bench_one() {
+    "$benchroot/$1.test" -test.run '^$' -test.bench "^$3\$" -test.benchtime 1x -test.timeout 5m \
+        | bench_rows "$1" "$2" >>"$benchrows"
+}
+benchnames=$("$benchroot/new.test" -test.list '^Benchmark')
+for run in $(seq 1 20); do
+    echo "bench gate: run $run/20 (parent $(git rev-parse --short "$benchbase") vs this tree)"
+    pos=0
+    for name in $benchnames; do
+        pos=$((pos + 1))
+        # Each benchmark's parent and tree runs sit back to back, and
+        # which goes first alternates, so drift on the host hits both.
+        if [ $((run % 2)) -eq 1 ]; then
+            bench_one parent "$pos" "$name"; bench_one new "$pos" "$name"
+        else
+            bench_one new "$pos" "$name"; bench_one parent "$pos" "$name"
+        fi
+    done
+done
+
 benchprev=$( (git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null) \
     | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
 benchcur=$(( ${benchprev:-0} + 1 ))
-echo "bench snapshot: BENCH_${benchcur}.json (previous: ${benchprev:-none})"
-benchout=$(mktemp)
-go test -run='^$' -bench=. -benchtime=1x ./... | tee "$benchout"
-awk '
-BEGIN { print "[" }
-/^Benchmark/ {
-    name=$1; sub(/-[0-9]+$/, "", name)
-    cells=""; allocs=""; bytes=""; p50=""; p99=""
-    for (i = 2; i <= NF; i++) {
-        if ($i == "cells/sec")   cells = $(i-1)
-        if ($i == "allocs/cell") allocs = $(i-1)
-        if ($i == "bytes/cell")  bytes = $(i-1)
-        if ($i == "p50_cell_us") p50 = $(i-1)
-        if ($i == "p99_cell_us") p99 = $(i-1)
-    }
-    if (cells != "") {
-        if (n++) printf ",\n"
-        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"bytes_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
-            name, cells, (allocs == "" ? "null" : allocs), (bytes == "" ? "null" : bytes), \
-            (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99)
-    }
+# Sorted by side, benchmark position, metric and value, each group's
+# samples arrive in order, so a quantile is an index into them (linear
+# interpolation), and the benchmarks keep their source order.
+sort -k1,1 -k2,2n -k4,4 -k5,5g "$benchrows" | awk -v json="BENCH_${benchcur}.json" '
+BEGIN { CONVFMT = "%.10g" }  # medians of an even count are not whole
+function q(p,   h, lo) {
+    h = (n - 1) * p; lo = int(h)
+    return lo + 1 < n ? v[lo] + (h - lo) * (v[lo+1] - v[lo]) : v[lo]
 }
-END { print "\n]" }
-' "$benchout" > "BENCH_${benchcur}.json"
-rm -f "$benchout"
-grep -q cells_per_sec "BENCH_${benchcur}.json" || { echo "BENCH_${benchcur}.json has no bench rows" >&2; exit 1; }
-grep -q p99_cell_us "BENCH_${benchcur}.json" || { echo "BENCH_${benchcur}.json has no per-cell latency column" >&2; exit 1; }
-
-if [ -n "$benchprev" ] && [ -f "BENCH_${benchprev}.json" ]; then
-    awk '
-    FNR == 1 { file++ }
-    /"bench"/ {
-        name = $0; sub(/.*"bench": "/, "", name); sub(/".*/, "", name)
-        cps = $0; sub(/.*"cells_per_sec": /, "", cps); sub(/,.*/, "", cps)
-        if (file == 1) prev[name] = cps + 0
-        else           cur[name] = cps + 0
-    }
-    END {
-        bad = 0
-        for (name in cur) {
-            if (!(name in prev) || prev[name] <= 0) continue
-            if (cur[name] < 0.9 * prev[name]) {
-                printf "%-28s %12.3f -> %12.3f cells/sec (%.0f%%): regression >10%%\n", \
-                    name, prev[name], cur[name], 100 * cur[name] / prev[name] >> "/dev/stderr"
-                bad = 1
-            }
+function flush() {
+    if (n == 0) return
+    key = side SUBSEP bench SUBSEP metric
+    med[key] = q(0.5); q1[key] = q(0.25); q3[key] = q(0.75)
+    if (side == "new" && !(bench in seen)) { seen[bench] = 1; order[++nb] = bench }
+    n = 0
+}
+{
+    if ($1 != side || $3 != bench || $4 != metric) { flush(); side = $1; bench = $3; metric = $4 }
+    v[n++] = $5
+}
+function val(b, m) { k = "new" SUBSEP b SUBSEP m; return (k in med) ? med[k] : "null" }
+END {
+    flush()
+    bad = 0
+    printf "%-26s %28s %28s %7s\n", "cells/sec, median [q1-q3]", "parent", "this tree", "ratio"
+    print "[" >json
+    rows = 0
+    for (i = 1; i <= nb; i++) {
+        b = order[i]
+        kn = "new" SUBSEP b SUBSEP "cells/sec"; kp = "parent" SUBSEP b SUBSEP "cells/sec"
+        if (!(kn in med)) continue
+        if (rows++) printf ",\n" >json
+        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"bytes_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
+            b, med[kn], val(b, "allocs/cell"), val(b, "bytes/cell"), val(b, "p50_cell_us"), val(b, "p99_cell_us") >json
+        if (!(kp in med) || med[kp] <= 0) {
+            printf "%-26s %28s %10.2f [%7.2f-%7.2f]   (new)\n", b, "-", med[kn], q1[kn], q3[kn]
+            continue
         }
-        exit bad
+        ratio = med[kn] / med[kp]
+        flag = ratio < 0.9 ? "  REGRESSION >10%" : ""
+        printf "%-26s %10.2f [%7.2f-%7.2f] %10.2f [%7.2f-%7.2f] %7.3f%s\n", \
+            b, med[kp], q1[kp], q3[kp], med[kn], q1[kn], q3[kn], ratio, flag
+        if (ratio < 0.9) bad = 1
     }
-    ' "BENCH_${benchprev}.json" "BENCH_${benchcur}.json" \
-        || { echo "benchmark throughput regressed >10% vs BENCH_${benchprev}.json" >&2; exit 1; }
-fi
+    print "\n]" >json
+    if (rows == 0) { print "bench gate: no benchmark reported cells/sec" >"/dev/stderr"; bad = 1 }
+    exit bad
+}' || { echo "bench gate: median cells/sec regressed >10% against $benchbase (or no rows)" >&2; exit 1; }
+echo "bench snapshot: BENCH_${benchcur}.json (previous: ${benchprev:-none})"
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
 # the golden file needs a deliberate `go test ./internal/trace -update`.
@@ -166,6 +222,41 @@ boot_icesimd() {
     [ -n "$addr" ] || { echo "icesimd ($log) never reported its port" >&2; cat "$log" >&2; exit 1; }
 }
 
+# prom_value ADDR SERIES [LABEL=VALUE] — fetch ADDR's /metrics once and
+# print the value of the one sample whose series name is exactly SERIES
+# and whose labels include LABEL="VALUE". Fails, with the exposition on
+# stderr, unless exactly one sample matches.
+prom_value() {
+    local text
+    text=$(curl -sf "http://$1/metrics") || { echo "GET http://$1/metrics failed" >&2; return 1; }
+    awk -v series="$2" -v pair="${3:-}" '
+    BEGIN {
+        if (pair != "") {
+            eq = index(pair, "=")
+            want = "," substr(pair, 1, eq) "\"" substr(pair, eq + 1) "\","
+        }
+    }
+    /^#/ || NF == 0 { next }
+    {
+        brace = index($0, "{")
+        if (brace) {
+            name = substr($0, 1, brace - 1)
+            labels = substr($0, brace + 1); sub(/}[^}]*$/, "", labels)
+        } else {
+            name = $1; labels = ""
+        }
+        if (name != series || (pair != "" && !index("," labels ",", want))) next
+        hits++; value = $NF
+    }
+    END {
+        if (hits != 1) {
+            printf "prom_value: %d samples of %s%s, want 1\n", hits, series, (pair == "" ? "" : "{" pair "}") >"/dev/stderr"
+            exit 1
+        }
+        print value
+    }' <<<"$text" || { echo "$text" >&2; return 1; }
+}
+
 # wait_done URL JOB — block until the job's NDJSON stream reports done.
 wait_done() {
     curl -sfN "$1/jobs/$2/stream" | tail -1 | grep '"state":"done"' >/dev/null
@@ -182,22 +273,19 @@ curl -sf "http://$addr/jobs/job-1/result" >"$smokedir/r1"
 curl -sf -X POST "http://$addr/jobs" -d "$spec" | grep '"cached": true' >/dev/null
 curl -sf "http://$addr/jobs/job-2/result" >"$smokedir/r2"
 cmp -s "$smokedir/r1" "$smokedir/r2" || { echo "cached result not byte-identical" >&2; exit 1; }
-curl -sf "http://$addr/metrics" | grep 'service.cache.hits' >/dev/null
+[ "$(prom_value "$addr" ice_service_cache_hits_total)" = 1 ] \
+    || { echo "cached submit not counted as exactly one cache hit" >&2; exit 1; }
 curl -sf "http://$addr/healthz" | grep '"role": "node"' >/dev/null
 
-# Prometheus exposition: both negotiated forms must serve typed series,
-# and a completed job must have lit up the harness latency histogram
-# and the folded sim.* aggregation.
-curl -sf "http://$addr/metrics?format=prom" >"$smokedir/prom"
-curl -sf -H 'Accept: text/plain; version=0.0.4' "http://$addr/metrics" >"$smokedir/prom.accept"
-for f in "$smokedir/prom" "$smokedir/prom.accept"; do
-    grep -q '^# TYPE ice_service_cache_hits_total counter$' "$f" \
-        || { echo "exposition missing typed cache counter ($f)" >&2; cat "$f" >&2; exit 1; }
-    grep -q '^# TYPE ice_harness_cell_us histogram$' "$f" \
-        || { echo "exposition missing harness cell histogram ($f)" >&2; exit 1; }
-    grep -q '^ice_sim_mm_reclaim_pages_total' "$f" \
-        || { echo "exposition missing folded sim series ($f)" >&2; exit 1; }
-done
+# The exposition must serve typed series, and a completed job must have
+# lit up the harness latency histogram and the folded sim.* aggregation.
+curl -sf "http://$addr/metrics" >"$smokedir/prom"
+grep -q '^# TYPE ice_service_cache_hits_total counter$' "$smokedir/prom" \
+    || { echo "exposition missing typed cache counter" >&2; cat "$smokedir/prom" >&2; exit 1; }
+grep -q '^# TYPE ice_harness_cell_us histogram$' "$smokedir/prom" \
+    || { echo "exposition missing harness cell histogram" >&2; exit 1; }
+grep -q '^ice_sim_mm_reclaim_pages_total' "$smokedir/prom" \
+    || { echo "exposition missing folded sim series" >&2; exit 1; }
 
 kill -TERM "$daemon"
 wait "$daemon" || { echo "icesimd did not drain cleanly" >&2; cat "$smokedir/log" >&2; exit 1; }
@@ -205,13 +293,13 @@ grep -q 'drained, bye' "$smokedir/log"
 
 # Second boot on the same state dir: the job must be a disk-cache hit.
 boot_icesimd "$smokedir/log2" -state-dir "$smokedir/state"
-curl -sf "http://$addr/metrics" | grep 'service.store.loaded_at_boot' | grep ' 1$' >/dev/null \
-    || { echo "restarted daemon did not load the stored entry" >&2; curl -sf "http://$addr/metrics" >&2; exit 1; }
+[ "$(prom_value "$addr" ice_service_store_loaded_at_boot_total)" = 1 ] \
+    || { echo "restarted daemon did not load the stored entry" >&2; exit 1; }
 curl -sf -X POST "http://$addr/jobs" -d "$spec" | grep '"cached": true' >/dev/null \
     || { echo "restarted daemon re-simulated instead of hitting the disk store" >&2; exit 1; }
 curl -sf "http://$addr/jobs/job-1/result" >"$smokedir/r3"
 cmp -s "$smokedir/r1" "$smokedir/r3" || { echo "disk-store result not byte-identical across restart" >&2; exit 1; }
-curl -sf "http://$addr/metrics" | grep 'service.store.disk_hits' | grep ' 1$' >/dev/null \
+[ "$(prom_value "$addr" ice_service_store_disk_hits_total)" = 1 ] \
     || { echo "disk hit not counted" >&2; exit 1; }
 kill -TERM "$daemon"
 wait "$daemon" || { echo "icesimd (restart) did not drain cleanly" >&2; cat "$smokedir/log2" >&2; exit 1; }
@@ -232,14 +320,19 @@ w2=$addr; w2pid=$daemon
 boot_icesimd "$smokedir/coord.log" -peers "$w1,$w2" -health-interval 10m
 coord=$addr; coordpid=$daemon
 
+# peer_healthy COORD WORKER — whether COORD has WORKER in rotation.
+peer_healthy() {
+    [ "$(prom_value "$1" ice_service_shard_peer_healthy peer="$2")" = 1 ]
+}
+
 # The boot-time probe must admit both workers.
-healthy=0
 for _ in $(seq 1 50); do
-    healthy=$(curl -sf "http://$coord/metrics" | grep 'service\.shard\.peer_healthy' | grep -c ' 1$' || true)
-    [ "$healthy" -eq 2 ] && break
+    { peer_healthy "$coord" "$w1" && peer_healthy "$coord" "$w2"; } 2>/dev/null && break
     sleep 0.1
 done
-[ "$healthy" -eq 2 ] || { echo "coordinator admitted $healthy of 2 workers" >&2; curl -sf "http://$coord/metrics" >&2; exit 1; }
+for w in "$w1" "$w2"; do
+    peer_healthy "$coord" "$w" || { echo "coordinator did not admit worker $w" >&2; exit 1; }
+done
 
 # Fleet scrape surface: the coordinator re-exposes both live workers'
 # series under peer labels with ice_peer_up 1 each.
@@ -268,10 +361,10 @@ wait_done "http://$w1" job-1
 curl -sf "http://$w1/jobs/job-1/result" >"$smokedir/single"
 cmp -s "$smokedir/single" "$smokedir/sharded" \
     || { echo "sharded experiment result not byte-identical to single-node" >&2; exit 1; }
-curl -sf "http://$coord/metrics" | grep 'service\.shard\.remote_cells' | awk '{ exit !($3 > 0) }' \
-    || { echo "no cells executed remotely" >&2; curl -sf "http://$coord/metrics" >&2; exit 1; }
-curl -sf "http://$coord/metrics" | grep 'service\.shard\.steals' | awk '{ exit !($3 > 0) }' \
-    || { echo "no chunks stolen by workers" >&2; curl -sf "http://$coord/metrics" >&2; exit 1; }
+[ "$(prom_value "$coord" ice_service_shard_remote_cells_total)" -gt 0 ] \
+    || { echo "no cells executed remotely" >&2; exit 1; }
+[ "$(prom_value "$coord" ice_service_shard_steals_total)" -gt 0 ] \
+    || { echo "no chunks stolen by workers" >&2; exit 1; }
 
 # Late-join steal: a coordinator with NO workers starts a job, then a
 # worker boots afterwards, announces itself with -join, and must lease
@@ -291,15 +384,15 @@ wait_done "http://$coord2" job-1
 curl -sf "http://$coord2/jobs/job-1/result" >"$smokedir/latejoin"
 cmp -s "$smokedir/single3" "$smokedir/latejoin" \
     || { echo "late-join result not byte-identical to single-node" >&2; exit 1; }
-curl -sf "http://$coord2/metrics" | grep 'service\.shard\.steals' | awk '{ exit !($3 > 0) }' \
-    || { echo "late-joined worker leased no chunks" >&2; curl -sf "http://$coord2/metrics" >&2; exit 1; }
-curl -sf "http://$coord2/metrics" | grep 'service\.fleet\.peer_joins' | awk '{ exit !($3 >= 1) }' \
+[ "$(prom_value "$coord2" ice_service_shard_steals_total)" -gt 0 ] \
+    || { echo "late-joined worker leased no chunks" >&2; exit 1; }
+[ "$(prom_value "$coord2" ice_service_fleet_peer_joins_total)" -ge 1 ] \
     || { echo "runtime join not counted" >&2; exit 1; }
 # The worker deregisters on drain, and the coordinator counts the leave.
 kill -TERM "$w3pid"
 wait "$w3pid" || { echo "late-join worker did not drain cleanly" >&2; cat "$smokedir/w3.log" >&2; exit 1; }
-curl -sf "http://$coord2/metrics" | grep 'service\.fleet\.peer_leaves' | awk '{ exit !($3 >= 1) }' \
-    || { echo "worker leave not counted" >&2; curl -sf "http://$coord2/metrics" >&2; exit 1; }
+[ "$(prom_value "$coord2" ice_service_fleet_peer_leaves_total)" -ge 1 ] \
+    || { echo "worker leave not counted" >&2; exit 1; }
 kill -TERM "$coord2pid"
 wait "$coord2pid" || { echo "late-join coordinator did not drain cleanly" >&2; cat "$smokedir/coord2.log" >&2; exit 1; }
 
@@ -310,19 +403,19 @@ wait "$coord2pid" || { echo "late-join coordinator did not drain cleanly" >&2; c
 boot_icesimd "$smokedir/coord3.log" -peers "$w1"
 coord3=$addr; coord3pid=$daemon
 for _ in $(seq 1 50); do
-    h=$(curl -sf "http://$coord3/metrics" | grep 'service\.shard\.peer_healthy' | grep -c ' 1$' || true)
-    [ "$h" -eq 1 ] && break
+    peer_healthy "$coord3" "$w1" 2>/dev/null && break
     sleep 0.1
 done
+peer_healthy "$coord3" "$w1" || { echo "fleet-warm coordinator did not admit $w1" >&2; exit 1; }
 curl -sf -X POST "http://$coord3/jobs" -d "$specA" | grep '"cached": true' >/dev/null \
     || { echo "fleet-warm submit did not come back cached" >&2; exit 1; }
 curl -sf "http://$coord3/jobs/job-1/result" >"$smokedir/peercached"
 cmp -s "$smokedir/single" "$smokedir/peercached" \
     || { echo "peer-cache result not byte-identical to single-node" >&2; exit 1; }
-curl -sf "http://$coord3/metrics" | grep 'service\.cache\.peer_hits' | awk '{ exit !($3 >= 1) }' \
-    || { echo "peer-cache hit not counted" >&2; curl -sf "http://$coord3/metrics" >&2; exit 1; }
-curl -sf "http://$coord3/metrics" | grep 'harness\.cell_us' | grep -q 'count=0 ' \
-    || { echo "fleet-warm coordinator simulated cells locally" >&2; curl -sf "http://$coord3/metrics" >&2; exit 1; }
+[ "$(prom_value "$coord3" ice_service_cache_peer_hits_total)" -ge 1 ] \
+    || { echo "peer-cache hit not counted" >&2; exit 1; }
+[ "$(prom_value "$coord3" ice_harness_cell_us_count)" = 0 ] \
+    || { echo "fleet-warm coordinator simulated cells locally" >&2; exit 1; }
 kill -TERM "$coord3pid"
 wait "$coord3pid" || { echo "warm-cache coordinator did not drain cleanly" >&2; cat "$smokedir/coord3.log" >&2; exit 1; }
 
@@ -345,10 +438,10 @@ cmp -s "$smokedir/single2" "$smokedir/sharded2" \
     || { echo "result changed after SIGKILLed worker" >&2; exit 1; }
 cmp -s "$smokedir/single2.trace" "$smokedir/sharded2.trace" \
     || { echo "trace changed after SIGKILLed worker" >&2; exit 1; }
-curl -sf "http://$coord/metrics" | grep 'service\.shard\.peer_failures' | awk '{ exit !($3 >= 1) }' \
-    || { echo "dead-worker dispatch failure not counted" >&2; curl -sf "http://$coord/metrics" >&2; exit 1; }
-curl -sf "http://$coord/metrics" | grep 'service\.shard\.requeues' | awk '{ exit !($3 >= 1) }' \
-    || { echo "dead worker's chunk not requeued" >&2; curl -sf "http://$coord/metrics" >&2; exit 1; }
+[ "$(prom_value "$coord" ice_service_shard_peer_failures_total)" -ge 1 ] \
+    || { echo "dead-worker dispatch failure not counted" >&2; exit 1; }
+[ "$(prom_value "$coord" ice_service_shard_requeues_total)" -ge 1 ] \
+    || { echo "dead worker's chunk not requeued" >&2; exit 1; }
 
 # The dead worker flatlines on the fleet surface — ice_peer_up 0, the
 # live worker still 1, and no scrape error.
@@ -386,7 +479,8 @@ status() {
 [ "$(status POST "http://$addr/jobs" -H 'Authorization: Bearer tok-wrong' -d "$spec")" = 401 ] \
     || { echo "wrong-token submit not rejected with 401" >&2; exit 1; }
 curl -sf "http://$addr/healthz" | grep true >/dev/null
-curl -sf "http://$addr/metrics" | grep 'service.tenant.auth_failures' >/dev/null
+[ "$(prom_value "$addr" ice_service_tenant_auth_failures_total)" = 2 ] \
+    || { echo "the two rejected submits not counted as exactly two auth failures" >&2; exit 1; }
 
 # Authenticated round-trip: submit as alice, stream to completion, read
 # the result, and require the job view to carry the principal.
@@ -408,8 +502,8 @@ slow3='{"kind":"run","device":"Pixel3","scenario":"S-C","scheme":"Ice","duration
     || { echo "bob's second submit rejected" >&2; exit 1; }
 [ "$(status POST "http://$addr/jobs" -H 'Authorization: Bearer tok-bob' -d "$slow3")" = 429 ] \
     || { echo "bob's over-quota submit not rejected with 429" >&2; exit 1; }
-curl -sf "http://$addr/metrics" | grep 'service.tenant.rejected.bob' | grep ' 1$' >/dev/null \
-    || { echo "quota rejection not attributed to bob" >&2; curl -sf "http://$addr/metrics" >&2; exit 1; }
+[ "$(prom_value "$addr" ice_service_tenant_rejected_total principal=bob)" = 1 ] \
+    || { echo "quota rejection not attributed to bob" >&2; exit 1; }
 
 kill -TERM "$authpid"
 wait "$authpid" || { echo "auth daemon did not drain cleanly" >&2; cat "$smokedir/auth.log" >&2; exit 1; }

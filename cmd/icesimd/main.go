@@ -67,14 +67,13 @@
 // checksums, the same format the disk store trusts — verifies end to
 // end, serving it byte-identical without simulating.
 //
-// Observability: GET /metrics speaks three formats — the legacy line
-// dump, ?format=json, and the Prometheus text exposition (?format=prom
-// or Accept: text/plain; version=0.0.4) with role/node const labels
-// (-role, -node). A coordinator additionally serves GET /fleet/metrics,
-// scraping every -peers worker and re-emitting its series under a peer
-// label with an ice_peer_up gauge per peer, so one Prometheus target
-// watches the whole fleet. See deploy/ for a ready-made
-// Prometheus + Grafana stack.
+// Observability: GET /metrics serves one format, the Prometheus text
+// exposition, whatever the request's query string or Accept header,
+// with role/node const labels (-role, -node). A coordinator
+// additionally serves GET /fleet/metrics, scraping every -peers worker
+// and re-emitting its series under a peer label with an ice_peer_up
+// gauge per peer, so one Prometheus target watches the whole fleet.
+// See deploy/ for a ready-made Prometheus + Grafana stack.
 //
 // Multi-tenancy: -auth-tokens names a static token file (one
 // "token principal key=value..." line per tenant; see internal/tenant)

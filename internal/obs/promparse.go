@@ -141,7 +141,9 @@ func ParseProm(r io.Reader) ([]PromFamily, error) {
 	)
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		// bufio.ScanLines drops one trailing \r; drop them all, or a
+		// HELP text ending in \r would lose it on a re-render.
+		line := strings.TrimRight(sc.Text(), "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}

@@ -43,7 +43,7 @@ func labelPeer(fams []obs.PromFamily, peer string) []obs.PromFamily {
 func (m *Manager) scrapePeer(ctx context.Context, addr string) ([]obs.PromFamily, error) {
 	ctx, cancel := context.WithTimeout(ctx, m.cfg.FleetScrapeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics?format=prom", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}

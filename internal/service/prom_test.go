@@ -10,63 +10,62 @@ import (
 	"github.com/eurosys23/ice/internal/obs"
 )
 
-// TestMetricsContentNegotiation pins the three /metrics forms: legacy
-// line dump by default, ?format=json unchanged, and the Prometheus
-// exposition via ?format=prom or a scraper's Accept header.
-func TestMetricsContentNegotiation(t *testing.T) {
+// TestMetricsOneFormat pins that /metrics serves the Prometheus
+// exposition to every request: the query string and the Accept header
+// select nothing, so a scraper that does not advertise 0.0.4 (curl, an
+// OpenMetrics-only Prometheus) still gets text it can parse.
+func TestMetricsOneFormat(t *testing.T) {
 	m := NewManager(Config{Role: "node", Node: "t0"})
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
 
-	code, body := getBody(t, ts.URL+"/metrics")
-	if code != 200 || !strings.Contains(string(body), "counter service.cache.hits") {
-		t.Fatalf("legacy text dump broken: %d %s", code, body)
-	}
-	code, body = getBody(t, ts.URL+"/metrics?format=json")
-	if code != 200 || !strings.Contains(string(body), `"counters"`) {
-		t.Fatalf("json form broken: %d %s", code, body)
-	}
-
-	for _, req := range []func() *http.Request{
-		func() *http.Request {
-			r, _ := http.NewRequest("GET", ts.URL+"/metrics?format=prom", nil)
-			return r
-		},
-		func() *http.Request {
-			r, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
-			r.Header.Set("Accept", "text/plain; version=0.0.4")
-			return r
-		},
+	for _, tc := range []struct {
+		name, path, accept string
+	}{
+		{"plain", "/metrics", ""},
+		{"format=json", "/metrics?format=json", ""},
+		{"format=prom", "/metrics?format=prom", ""},
+		{"accept 0.0.4", "/metrics", "text/plain; version=0.0.4"},
+		{"accept openmetrics", "/metrics", "application/openmetrics-text; version=1.0.0; charset=utf-8"},
 	} {
-		resp, err := http.DefaultClient.Do(req())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("prom form: status %d: %s", resp.StatusCode, buf.String())
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
-			t.Errorf("prom content type: %q", ct)
-		}
-		text := buf.String()
-		for _, want := range []string{
-			"# TYPE ice_service_cache_hits_total counter",
-			`ice_service_cache_hits_total{role="node",node="t0"}`,
-			"# TYPE ice_process_uptime_seconds gauge",
-			"# TYPE ice_process_gc_pause_us histogram",
-			"# TYPE ice_harness_cell_us histogram",
-			`ice_service_http_requests_total{role="node",node="t0",route="metrics"}`,
-		} {
-			if !strings.Contains(text, want) {
-				t.Errorf("exposition missing %q", want)
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest("GET", ts.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if _, err := obs.ParseProm(strings.NewReader(text)); err != nil {
-			t.Errorf("exposition does not parse: %v", err)
-		}
+			if tc.accept != "" {
+				req.Header.Set("Accept", tc.accept)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("status %d: %s", resp.StatusCode, buf.String())
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
+				t.Errorf("content type %q, want %q", ct, obs.PromContentType)
+			}
+			text := buf.String()
+			for _, want := range []string{
+				"# TYPE ice_service_cache_hits_total counter",
+				`ice_service_cache_hits_total{role="node",node="t0"}`,
+				"# TYPE ice_process_uptime_seconds gauge",
+				"# TYPE ice_process_gc_pause_us histogram",
+				"# TYPE ice_harness_cell_us histogram",
+				`ice_service_http_requests_total{role="node",node="t0",route="metrics"}`,
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("exposition missing %q", want)
+				}
+			}
+			if _, err := obs.ParseProm(strings.NewReader(text)); err != nil {
+				t.Errorf("exposition does not parse: %v", err)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ func (m *Manager) authPrincipal(r *http.Request) (string, error) {
 //	GET  /healthz           liveness
 //	GET  /experiments       the shared experiment registry (IDs + axes)
 //	GET  /schemes           the policy scheme registry (names, aliases, axes)
-//	GET  /metrics           service instruments (text; ?format=json)
+//	GET  /metrics           service instruments, Prometheus text exposition
 //	POST /jobs              submit a JobSpec, returns the JobView
 //	GET  /jobs              list jobs in submission order
 //	GET  /jobs/{id}         one job's status
@@ -122,26 +122,14 @@ func NewServer(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	// Content negotiation: ?format=json keeps the structured snapshot,
-	// ?format=prom (or a Prometheus scraper's Accept header) selects the
-	// text exposition, anything else keeps the legacy line dump.
 	handle("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
-		format := r.URL.Query().Get("format")
-		switch {
-		case format == "json":
-			writeJSON(w, http.StatusOK, m.Metrics())
-		case format == "prom" || strings.Contains(r.Header.Get("Accept"), "version=0.0.4"):
-			text, err := m.PromMetrics()
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-			w.Header().Set("Content-Type", obs.PromContentType)
-			w.Write(text)
-		default:
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			m.Metrics().WriteTo(w)
+		text, err := m.PromMetrics()
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
 		}
+		w.Header().Set("Content-Type", obs.PromContentType)
+		w.Write(text)
 	})
 
 	handle("GET /fleet/metrics", "fleet_metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -247,9 +247,9 @@ func testTenancyEndToEnd(t *testing.T, coordinator bool) {
 	}
 
 	// The per-principal series surfaced in the exposition.
-	code, prom := getBody(t, ts.URL+"/metrics?format=prom")
+	code, prom := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("/metrics?format=prom: %d", code)
+		t.Fatalf("/metrics: %d", code)
 	}
 	for _, want := range []string{
 		`ice_service_tenant_submitted_total{`,
